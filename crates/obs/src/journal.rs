@@ -7,7 +7,8 @@
 //! and what was LDRG doing?"*. The journal does: every request appends
 //! one [`WideEvent`] (outcome, fidelities, degradation steps, retries,
 //! cache/coalescing flags, queue/route/total timings, per-rung attempt
-//! timings, candidate counters) to a fixed-size [`Ring`], and every LDRG
+//! timings, candidate and oracle-work counters, session deltas and
+//! reroute rung) to a fixed-size [`Ring`], and every LDRG
 //! iteration appends one [`IterEvent`] (delay delta, accepted edge,
 //! candidates, sweep time). The rings keep the most recent few thousand
 //! records; a crash or a `{"op":"journal"}` pull reads them back.
@@ -62,7 +63,8 @@ pub const FLAGGED_EXEMPLARS: usize = 256;
 /// into a single record (the "structured log line done right").
 #[derive(Debug, Clone, PartialEq)]
 pub struct WideEvent {
-    /// Journal sequence number (assigned by [`Journal::record_request`]).
+    /// Journal sequence number (assigned by [`Journal::record`] or
+    /// [`Journal::record_request`]).
     pub seq: u64,
     /// Trace id correlating this event with spans and log lines.
     pub trace: u64,
@@ -72,8 +74,8 @@ pub struct WideEvent {
     pub pins: u64,
     /// Algorithm wire name (`"ldrg"`, `"h1"`, …).
     pub algorithm: &'static str,
-    /// `"ok"`, `"route_error"`, `"deadline"`, `"overloaded"`, or
-    /// `"parse_error"`.
+    /// `"ok"`, `"route_error"`, `"session_error"`, `"deadline"`,
+    /// `"overloaded"`, or `"parse_error"`.
     pub outcome: &'static str,
     /// Fidelity rung the request asked for.
     pub fidelity_requested: &'static str,
@@ -107,6 +109,25 @@ pub struct WideEvent {
     /// Per-rung attempt timings, in attempt order (a degraded request
     /// lists every rung it tried).
     pub rungs: Vec<RungTiming>,
+    /// Could have been answered from the result cache but missed (set
+    /// on misses that later coalesce or are rejected too).
+    pub cache_miss: bool,
+    /// Session deltas applied by this op (a rejected batch counts the
+    /// deltas applied before the rejection).
+    pub deltas_applied: u32,
+    /// Decision-ladder path of an answered session reroute
+    /// (`"quiescent"`, `"rank1"`, `"refactor"`, `"scratch"`); empty
+    /// otherwise.
+    pub reroute_path: &'static str,
+    /// Oracle delay evaluations (SPICE-equivalent calls).
+    pub evaluations: u64,
+    /// Matrix factorizations performed.
+    pub factorizations: u64,
+    /// Candidates scored through a rank-1 update instead of a fresh
+    /// factorization.
+    pub rank1_solves: u64,
+    /// Time spent inside the oracle, µs.
+    pub oracle_us: u64,
 }
 
 impl Default for WideEvent {
@@ -133,6 +154,13 @@ impl Default for WideEvent {
             candidates_pruned: 0,
             ldrg_iterations: 0,
             rungs: Vec::new(),
+            cache_miss: false,
+            deltas_applied: 0,
+            reroute_path: "",
+            evaluations: 0,
+            factorizations: 0,
+            rank1_solves: 0,
+            oracle_us: 0,
         }
     }
 }
@@ -186,6 +214,13 @@ impl WideEvent {
                         .collect(),
                 ),
             ),
+            ("cache_miss", Json::Bool(self.cache_miss)),
+            ("deltas_applied", num(u64::from(self.deltas_applied))),
+            ("reroute_path", Json::str(self.reroute_path)),
+            ("evaluations", num(self.evaluations)),
+            ("factorizations", num(self.factorizations)),
+            ("rank1_solves", num(self.rank1_solves)),
+            ("oracle_us", num(self.oracle_us)),
         ])
     }
 }
@@ -480,6 +515,19 @@ impl Journal {
         self.iterations.stats()
     }
 
+    /// Journals one answered request: appends its wide event, then
+    /// offers it, stamped with the assigned sequence number, and its
+    /// span trace for exemplar retention. Returns the sequence number
+    /// (0 when disabled).
+    pub fn record(&self, event: WideEvent, spans: Vec<SpanRecord>) -> u64 {
+        if !self.enabled() {
+            return 0;
+        }
+        let seq = self.record_request(event.clone());
+        self.offer_exemplar(WideEvent { seq, ..event }, spans);
+        seq
+    }
+
     /// Appends one wide event; returns its sequence number (0 when
     /// disabled).
     pub fn record_request(&self, mut event: WideEvent) -> u64 {
@@ -618,33 +666,26 @@ pub struct JournalSnapshot {
 }
 
 impl JournalSnapshot {
+    /// The record and drop counts both dump formats lead with.
+    fn summary(&self) -> Vec<(&'static str, Json)> {
+        let num = |v: u64| Json::Num(v as f64);
+        vec![
+            ("requests", num(self.requests.len() as u64)),
+            ("iterations", num(self.iterations.len() as u64)),
+            ("exemplars", num(self.exemplars.len() as u64)),
+            ("requests_recorded", num(self.request_stats.recorded)),
+            ("requests_dropped", num(self.request_stats.dropped)),
+            ("iterations_recorded", num(self.iteration_stats.recorded)),
+            ("iterations_dropped", num(self.iteration_stats.dropped)),
+            ("exemplars_dropped", num(self.exemplars_dropped)),
+        ]
+    }
+
     /// The snapshot as one JSON object (the `{"op":"journal"}` body).
     #[must_use]
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("requests", Json::Num(self.requests.len() as f64)),
-            ("iterations", Json::Num(self.iterations.len() as f64)),
-            ("exemplars", Json::Num(self.exemplars.len() as f64)),
-            (
-                "requests_recorded",
-                Json::Num(self.request_stats.recorded as f64),
-            ),
-            (
-                "requests_dropped",
-                Json::Num(self.request_stats.dropped as f64),
-            ),
-            (
-                "iterations_recorded",
-                Json::Num(self.iteration_stats.recorded as f64),
-            ),
-            (
-                "iterations_dropped",
-                Json::Num(self.iteration_stats.dropped as f64),
-            ),
-            (
-                "exemplars_dropped",
-                Json::Num(self.exemplars_dropped as f64),
-            ),
+        let mut fields = self.summary();
+        fields.extend([
             (
                 "request_events",
                 Json::Arr(self.requests.iter().map(WideEvent::to_json).collect()),
@@ -657,7 +698,8 @@ impl JournalSnapshot {
                 "exemplar_events",
                 Json::Arr(self.exemplars.iter().map(Exemplar::to_json).collect()),
             ),
-        ])
+        ]);
+        Json::obj(fields)
     }
 
     /// The snapshot as JSON-lines: one `"kind":"summary"` header, then
@@ -667,33 +709,9 @@ impl JournalSnapshot {
     #[must_use]
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
-        let summary = Json::obj(vec![
-            ("kind", Json::str("summary")),
-            ("requests", Json::Num(self.requests.len() as f64)),
-            ("iterations", Json::Num(self.iterations.len() as f64)),
-            ("exemplars", Json::Num(self.exemplars.len() as f64)),
-            (
-                "requests_recorded",
-                Json::Num(self.request_stats.recorded as f64),
-            ),
-            (
-                "requests_dropped",
-                Json::Num(self.request_stats.dropped as f64),
-            ),
-            (
-                "iterations_recorded",
-                Json::Num(self.iteration_stats.recorded as f64),
-            ),
-            (
-                "iterations_dropped",
-                Json::Num(self.iteration_stats.dropped as f64),
-            ),
-            (
-                "exemplars_dropped",
-                Json::Num(self.exemplars_dropped as f64),
-            ),
-        ]);
-        out.push_str(&summary.to_string());
+        let mut summary = vec![("kind", Json::str("summary"))];
+        summary.extend(self.summary());
+        out.push_str(&Json::obj(summary).to_string());
         out.push('\n');
         for e in &self.requests {
             out.push_str(&e.to_json().to_string());
@@ -733,6 +751,9 @@ pub struct JournalCounts {
 pub fn check_journal_lines(text: &str) -> Result<JournalCounts, String> {
     let mut counts = JournalCounts::default();
     let mut saw_summary = false;
+    let Json::Obj(columns) = WideEvent::default().to_json() else {
+        unreachable!("a wide event serializes to an object")
+    };
     for (lineno, line) in text.lines().enumerate() {
         let lineno = lineno + 1;
         if line.trim().is_empty() {
@@ -770,37 +791,16 @@ pub fn check_journal_lines(text: &str) -> Result<JournalCounts, String> {
                 }
             }
             "request" | "exemplar" => {
-                for f in [
-                    "seq",
-                    "trace",
-                    "net_hash",
-                    "pins",
-                    "degradation_steps",
-                    "retries",
-                    "injected_faults",
-                    "queue_us",
-                    "route_us",
-                    "total_us",
-                    "candidates_generated",
-                    "candidates_scored",
-                    "ldrg_iterations",
-                ] {
-                    need_num(f)?;
-                }
-                for f in [
-                    "algorithm",
-                    "outcome",
-                    "fidelity_requested",
-                    "fidelity_served",
-                ] {
-                    need_str(f)?;
-                }
-                need_bool("cache_hit")?;
-                need_bool("coalesced")?;
-                if !matches!(doc.get("rungs"), Some(Json::Arr(_))) {
-                    return Err(format!(
-                        "line {lineno}: {kind} line missing array \"rungs\""
-                    ));
+                // The serializer is the schema: every column a wide
+                // event writes must be present, with the same JSON type.
+                for (field, column) in &columns {
+                    if doc.get(field).map(std::mem::discriminant)
+                        != Some(std::mem::discriminant(column))
+                    {
+                        return Err(format!(
+                            "line {lineno}: {kind} line missing or mistyped {field:?}"
+                        ));
+                    }
                 }
                 if kind == "exemplar" {
                     need_str("reason")?;
@@ -967,10 +967,29 @@ mod tests {
             oracle_us: 0,
         });
         j.offer_exemplar(event(10), Vec::new());
+        assert_eq!(j.record(event(10), Vec::new()), 0);
         let snap = j.snapshot();
         assert!(snap.requests.is_empty());
         assert!(snap.iterations.is_empty());
         assert!(snap.exemplars.is_empty());
+    }
+
+    #[test]
+    fn record_journals_the_event_and_offers_it_with_its_seq() {
+        let j = Journal::new(8, 8);
+        j.record(event(1), Vec::new());
+        let mut errored = event(1);
+        errored.outcome = "route_error";
+        let seq = j.record(errored, Vec::new());
+        assert_eq!(seq, 1);
+        let snap = j.snapshot();
+        assert_eq!(snap.requests.len(), 2);
+        let exemplar = snap
+            .exemplars
+            .iter()
+            .find(|x| x.reason == "error")
+            .expect("the errored request keeps its exemplar");
+        assert_eq!(exemplar.event.seq, seq);
     }
 
     #[test]
@@ -1052,6 +1071,17 @@ mod tests {
         assert!(check_journal_lines(&ok).is_ok());
         let with_garbage = format!("{ok}{{\"kind\":\"martian\"}}\n");
         assert!(check_journal_lines(&with_garbage).is_err());
+        // Request lines must carry every wide-event column, typed.
+        let j = Journal::new(4, 4);
+        j.record_request(event(5));
+        let full = j.snapshot().to_json_lines();
+        assert!(check_journal_lines(&full).is_ok());
+        let dropped = full.replace(",\"oracle_us\":0", "");
+        assert_ne!(dropped, full);
+        assert!(check_journal_lines(&dropped).is_err());
+        let mistyped = full.replace("\"cache_miss\":false", "\"cache_miss\":0");
+        assert_ne!(mistyped, full);
+        assert!(check_journal_lines(&mistyped).is_err());
     }
 
     #[test]

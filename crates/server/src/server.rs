@@ -31,18 +31,11 @@ fn write_line(writer: &SharedWriter, response: &Json) {
 /// a client speaking garbage is exactly the kind of thing a post-mortem
 /// wants to see.
 fn record_parse_error() {
-    let recorder = ntr_obs::Journal::global();
     let event = ntr_obs::journal::WideEvent {
         outcome: "parse_error",
-        algorithm: "",
-        fidelity_requested: "",
-        fidelity_served: "",
         ..ntr_obs::journal::WideEvent::default()
     };
-    let seq = recorder.record_request(event.clone());
-    let mut event = event;
-    event.seq = seq;
-    recorder.offer_exemplar(event, Vec::new());
+    ntr_obs::Journal::global().record(event, Vec::new());
 }
 
 /// The body answering a `faults` op: the installed plan (or `null`) and

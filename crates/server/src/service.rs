@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use ntr_circuit::Technology;
 use ntr_core::{
     canonical_net_hash, Budget, CancelToken, DegradePolicy, FaultPlan, Fidelity, FidelityCosts,
-    RetryPolicy, RoutingOutcome, RoutingSession,
+    OracleStats, RetryPolicy, RoutingOutcome, RoutingSession,
 };
 use ntr_obs::journal::{self, WideEvent};
 use ntr_obs::slo::{BurnRule, SloEngine, SloSpec};
@@ -146,16 +146,43 @@ fn base_event(request: &RouteRequest, trace: u64) -> WideEvent {
     }
 }
 
-/// Publishes one wide event to the flight recorder, offers its span
-/// trace for tail retention (flagged events keep it even span-less),
-/// and feeds the outcome to the SLO engine — this is the one
-/// chokepoint every answered request passes through, so the error
-/// budget sees exactly the journaled reality.
-fn journal_event(mut event: WideEvent, spans: Vec<ntr_obs::SpanRecord>, slo: &SloEngine) {
+/// The wide-event skeleton of a queued job. A job keeps a cache key
+/// only when its lookup missed, so the key marks the miss.
+fn job_event(job: &Job, trace: u64) -> WideEvent {
+    WideEvent {
+        cache_miss: job.key.is_some(),
+        ..base_event(&job.request, trace)
+    }
+}
+
+/// A coalesced duplicate's wide event: its primary's outcome under the
+/// duplicate's own trace and timing.
+fn waiter_event(primary: &WideEvent, trace: u64, arrived: Instant) -> WideEvent {
+    WideEvent {
+        trace,
+        coalesced: true,
+        queue_us: 0,
+        rungs: Vec::new(),
+        total_us: micros(arrived.elapsed()),
+        ..primary.clone()
+    }
+}
+
+/// Publishes one answered request: derives the service counters from
+/// its wide event, feeds the outcome to the SLO engine, and journals
+/// the event with its span trace for tail retention (flagged events
+/// keep it even span-less). This is the one chokepoint every answered
+/// request passes through, so `/metrics`, the error budget and the
+/// journal all see exactly the same requests.
+fn journal_event(
+    event: WideEvent,
+    spans: Vec<ntr_obs::SpanRecord>,
+    stats: &ServiceStats,
+    slo: &SloEngine,
+) {
+    stats.observe(&event);
     slo.record(event.outcome == "ok", event.total_us);
-    let recorder = Journal::global();
-    event.seq = recorder.record_request(event.clone());
-    recorder.offer_exemplar(event, spans);
+    Journal::global().record(event, spans);
 }
 
 /// The running routing service. Cheap to share: transports hold it in
@@ -286,18 +313,16 @@ impl Service {
     /// possibly on another thread, possibly before this returns (cache
     /// hits and rejections answer inline).
     pub fn submit(&self, request: RouteRequest, respond: Respond) {
-        self.stats.received.inc();
         let arrived = Instant::now();
         let trace = span::next_trace_id();
         let id = request.id.clone();
         let net = match engine::build_net(&request) {
             Ok(net) => net,
             Err(EngineError::Route(detail)) => {
-                self.stats.errors.inc();
                 let mut event = base_event(&request, trace);
                 event.outcome = "route_error";
                 event.total_us = micros(arrived.elapsed());
-                journal_event(event, Vec::new(), &self.slo);
+                journal_event(event, Vec::new(), &self.stats, &self.slo);
                 respond(with_trace(
                     error_response(id.as_ref(), ErrorCode::Route, &detail),
                     trace,
@@ -317,20 +342,16 @@ impl Service {
                 response.set("cached", Json::Bool(true));
                 response.set("trace", Json::Num(trace as f64));
                 drop(cache);
-                self.stats.cache_hits.inc();
-                self.stats.completed.inc();
                 // Cached bodies are never degraded, so served == asked.
                 let mut event = base_event(&request, trace);
                 event.net_hash = ntr_core::canonical_net_hash(&net, &self.tech);
                 event.fidelity_served = event.fidelity_requested;
                 event.cache_hit = true;
                 event.total_us = micros(arrived.elapsed());
-                journal_event(event, Vec::new(), &self.slo);
+                journal_event(event, Vec::new(), &self.stats, &self.slo);
                 respond(response);
                 return;
             }
-            drop(cache);
-            self.stats.cache_misses.inc();
         }
         // Coalesce concurrent duplicates: while an identical request is
         // in flight, later copies wait for its result instead of routing
@@ -341,7 +362,6 @@ impl Service {
                 let mut inflight = self.inflight.lock().expect("inflight mutex poisoned");
                 if let Some(waiters) = inflight.get_mut(&key) {
                     waiters.push((id, trace, arrived, respond));
-                    self.stats.coalesced.inc();
                     return;
                 }
                 inflight.insert(key, Vec::new());
@@ -378,7 +398,6 @@ impl Service {
     /// cache or coalescing — a session's net mutates under it, so its
     /// responses are not content-addressable.
     pub fn submit_session(&self, request: SessionRequest, respond: Respond) {
-        self.stats.received.inc();
         let job = SessionJob {
             request,
             respond,
@@ -399,12 +418,11 @@ impl Service {
 
     /// Answers `overloaded` to a rejected session op.
     fn reject_session(&self, job: SessionJob, detail: &str) {
-        self.stats.overloaded.inc();
         log_warn!("rejecting session op: {detail}");
         let mut event = base_session_event(&job.request, job.trace);
         event.outcome = "overloaded";
         event.total_us = micros(job.enqueued.elapsed());
-        journal_event(event, Vec::new(), &self.slo);
+        journal_event(event, Vec::new(), &self.stats, &self.slo);
         (job.respond)(with_trace(
             error_response(job.request.id.as_ref(), ErrorCode::Overloaded, detail),
             job.trace,
@@ -415,22 +433,18 @@ impl Service {
     /// coalesced onto it between registration and rejection.
     fn reject(&self, job: Job, detail: &str) {
         let waiters = take_waiters(&self.inflight, job.coalesce_key);
-        self.stats.overloaded.add(1 + waiters.len() as u64);
         log_warn!("rejecting request: {detail}");
-        let mut event = base_event(&job.request, job.trace);
+        let mut event = job_event(&job, job.trace);
         event.outcome = "overloaded";
         event.total_us = micros(job.enqueued.elapsed());
-        journal_event(event, Vec::new(), &self.slo);
+        journal_event(event.clone(), Vec::new(), &self.stats, &self.slo);
         (job.respond)(with_trace(
             error_response(job.request.id.as_ref(), ErrorCode::Overloaded, detail),
             job.trace,
         ));
         for (wid, wtrace, warrived, wrespond) in waiters {
-            let mut event = base_event(&job.request, wtrace);
-            event.outcome = "overloaded";
-            event.coalesced = true;
-            event.total_us = micros(warrived.elapsed());
-            journal_event(event, Vec::new(), &self.slo);
+            let waited = waiter_event(&event, wtrace, warrived);
+            journal_event(waited, Vec::new(), &self.stats, &self.slo);
             wrespond(with_trace(
                 error_response(wid.as_ref(), ErrorCode::Overloaded, detail),
                 wtrace,
@@ -438,29 +452,29 @@ impl Service {
         }
     }
 
+    /// The counters, with the gauges and mirrors refreshed from the
+    /// structures this service owns.
+    fn refreshed_stats(&self) -> &ServiceStats {
+        self.stats.refresh_gauges(
+            self.queue.len(),
+            self.cache_len(),
+            self.resilience.faults_injected(),
+            self.sessions.len(),
+        );
+        &self.stats
+    }
+
     /// The stats-response body for `{"op":"stats"}`.
     #[must_use]
     pub fn stats_json(&self) -> Json {
-        let cache_entries = self.cache.lock().expect("cache mutex poisoned").len();
-        self.stats.to_json(
-            self.queue.len(),
-            cache_entries,
-            self.resilience.faults_injected(),
-            self.sessions.len(),
-        )
+        self.refreshed_stats().to_json()
     }
 
     /// Prometheus text exposition of the service's metrics, for
     /// `{"op":"metrics"}` and `GET /metrics`.
     #[must_use]
     pub fn metrics_text(&self) -> String {
-        let cache_entries = self.cache.lock().expect("cache mutex poisoned").len();
-        self.stats.prometheus(
-            self.queue.len(),
-            cache_entries,
-            self.resilience.faults_injected(),
-            self.sessions.len(),
-        )
+        ntr_obs::prometheus::render(self.refreshed_stats().registry())
     }
 
     /// The shared counters (for tests and the load generator).
@@ -604,12 +618,13 @@ fn worker_loop(
         let capture = span::capture();
         let (event, respond, response) = match work {
             Work::Route(job) => run_job(job, cache, inflight, stats, resilience, slo, tech),
-            Work::Session(job) => run_session(job, sessions, stats, tech),
+            Work::Session(job) => run_session(job, sessions, tech),
         };
         // Journal before responding: a client that has seen the answer
-        // can always find the request in `{"op":"journal"}` — no window
-        // where the response exists but its wide event does not.
-        journal_event(event, capture.finish(), slo);
+        // can always find the request in `{"op":"journal"}` and in the
+        // counters — no window where the response exists but its wide
+        // event does not.
+        journal_event(event, capture.finish(), stats, slo);
         // The gauge drops before the answer leaves: a client holding
         // the response never observes itself still counted in flight.
         stats.inflight_requests.dec();
@@ -633,7 +648,7 @@ fn run_job(
 ) -> (WideEvent, Respond, Json) {
     let _request_span = span::span("server.request");
     let id = job.request.id.clone();
-    let mut event = base_event(&job.request, job.trace);
+    let mut event = job_event(&job, job.trace);
     event.queue_us = micros(job.enqueued.elapsed());
     // A request that spent its whole deadline queued answers without
     // occupying the worker for a full route — unless degradation is
@@ -641,7 +656,6 @@ fn run_job(
     // and still serves. (Deadline jobs never register as coalescing
     // primaries, so no waiters to serve.)
     if job.deadline_at.is_some_and(|at| Instant::now() >= at) && !job.request.degrade {
-        stats.deadline_expired.inc();
         log_debug!("deadline expired while queued");
         event.outcome = "deadline";
         event.total_us = micros(job.enqueued.elapsed());
@@ -681,9 +695,7 @@ fn run_job(
             event.degradation_steps = outcome.degradation_steps;
             event.retries = outcome.retries;
             event.net_hash = outcome.net_hash;
-            event.candidates_generated = outcome.search.candidates_generated;
-            event.candidates_scored = outcome.search.candidates_scored;
-            event.candidates_pruned = outcome.search.candidates_pruned;
+            fill_search(&mut event, &outcome.search);
             event.ldrg_iterations = outcome.ldrg_iterations;
             event.total_us = micros(latency);
             // Degraded bodies are a product of this request's
@@ -699,14 +711,6 @@ fn run_job(
             // duplicate arriving right now either finds the cache
             // entry or is already in this list — never neither.
             let waiters = take_waiters(inflight, job.coalesce_key);
-            stats.record_completed(
-                job.request.algorithm.as_str(),
-                latency,
-                outcome.search,
-                outcome.degraded,
-                outcome.retries,
-            );
-            stats.completed.add(waiters.len() as u64);
             log_debug!(
                 "routed {} pins with {} in {} us",
                 job.request.pins.len(),
@@ -715,15 +719,9 @@ fn run_job(
             );
             for (wid, wtrace, warrived, wrespond) in waiters {
                 // Waiters share the primary's result — including its
-                // degradation — so each gets its own wide event with
-                // the shared outcome under its own trace and timing.
-                let mut waited = event.clone();
-                waited.trace = wtrace;
-                waited.coalesced = true;
-                waited.queue_us = 0;
-                waited.rungs = Vec::new();
-                waited.total_us = micros(warrived.elapsed());
-                journal_event(waited, Vec::new(), slo);
+                // degradation.
+                let waited = waiter_event(&event, wtrace, warrived);
+                journal_event(waited, Vec::new(), stats, slo);
                 let mut shared = outcome.body.clone();
                 shared.set("id", wid.unwrap_or(Json::Null));
                 shared.set("cached", Json::Bool(true));
@@ -738,7 +736,6 @@ fn run_job(
             response
         }
         Err(EngineError::Cancelled) => {
-            stats.deadline_expired.inc();
             log_debug!("deadline expired during routing");
             event.outcome = "deadline";
             event.total_us = micros(job.enqueued.elapsed());
@@ -753,18 +750,12 @@ fn run_job(
         }
         Err(EngineError::Route(detail)) => {
             let waiters = take_waiters(inflight, job.coalesce_key);
-            stats.errors.add(1 + waiters.len() as u64);
             log_warn!("route failed: {detail}");
             event.outcome = "route_error";
             event.total_us = micros(job.enqueued.elapsed());
             for (wid, wtrace, warrived, wrespond) in waiters {
-                let mut waited = event.clone();
-                waited.trace = wtrace;
-                waited.coalesced = true;
-                waited.queue_us = 0;
-                waited.rungs = Vec::new();
-                waited.total_us = micros(warrived.elapsed());
-                journal_event(waited, Vec::new(), slo);
+                let waited = waiter_event(&event, wtrace, warrived);
+                journal_event(waited, Vec::new(), stats, slo);
                 wrespond(with_trace(
                     error_response(wid.as_ref(), ErrorCode::Route, &detail),
                     wtrace,
@@ -811,7 +802,6 @@ fn session_op_name(action: &SessionAction) -> &'static str {
 fn run_session(
     job: SessionJob,
     sessions: &SessionTable,
-    stats: &ServiceStats,
     tech: Technology,
 ) -> (WideEvent, Respond, Json) {
     let _session_span = span::span("server.session");
@@ -820,10 +810,10 @@ fn run_session(
     event.queue_us = micros(job.enqueued.elapsed());
     let response = match job.request.action {
         SessionAction::Create(request) => {
-            session_create(&request, id.as_ref(), sessions, stats, tech, &mut event)
+            session_create(&request, id.as_ref(), sessions, tech, &mut event)
         }
         SessionAction::Mutate { session, ops } => {
-            session_mutate(session, ops, id.as_ref(), sessions, stats, &mut event)
+            session_mutate(session, ops, id.as_ref(), sessions, &mut event)
         }
         SessionAction::Reroute { session, deadline } => session_reroute(
             session,
@@ -831,26 +821,18 @@ fn run_session(
             job.enqueued,
             id.as_ref(),
             sessions,
-            stats,
             &mut event,
         ),
         SessionAction::Close { session } => {
-            session_close(session, id.as_ref(), sessions, stats, &mut event)
+            session_close(session, id.as_ref(), sessions, &mut event)
         }
     };
     event.total_us = micros(job.enqueued.elapsed());
     (event, job.respond, with_trace(response, job.trace))
 }
 
-/// Counts and journals one structured `session` error.
-fn session_error(
-    stats: &ServiceStats,
-    event: &mut WideEvent,
-    id: Option<&Json>,
-    detail: &str,
-) -> Json {
-    stats.errors.inc();
-    stats.session_errors.inc();
+/// Marks the wide event and answers one structured `session` error.
+fn session_error(event: &mut WideEvent, id: Option<&Json>, detail: &str) -> Json {
     event.outcome = "session_error";
     log_warn!("session op failed: {detail}");
     error_response(id, ErrorCode::Session, detail)
@@ -910,14 +892,23 @@ fn outcome_body(outcome: &RoutingOutcome, algorithm: ntr_core::Algorithm, pins: 
     ])
 }
 
+/// Copies a request's search-cost counters into the wide event.
+fn fill_search(event: &mut WideEvent, search: &OracleStats) {
+    event.candidates_generated = search.candidates_generated;
+    event.candidates_scored = search.candidates_scored;
+    event.candidates_pruned = search.candidates_pruned;
+    event.evaluations = search.evaluations;
+    event.factorizations = search.factorizations;
+    event.rank1_solves = search.rank1_solves;
+    event.oracle_us = micros(search.wall());
+}
+
 /// Copies a routed outcome's observability columns into the wide event.
 fn fill_route_event(event: &mut WideEvent, outcome: &RoutingOutcome) {
     event.fidelity_served = outcome.fidelity.as_str();
     event.degradation_steps = outcome.degradation_steps() as u32;
     event.retries = outcome.retries;
-    event.candidates_generated = outcome.stats.candidates_generated;
-    event.candidates_scored = outcome.stats.candidates_scored;
-    event.candidates_pruned = outcome.stats.candidates_pruned;
+    fill_search(event, &outcome.stats);
     event.ldrg_iterations = outcome.iterations.len() as u32;
 }
 
@@ -925,14 +916,12 @@ fn session_create(
     request: &RouteRequest,
     id: Option<&Json>,
     sessions: &SessionTable,
-    stats: &ServiceStats,
     tech: Technology,
     event: &mut WideEvent,
 ) -> Json {
     let net = match engine::build_net(request) {
         Ok(net) => net,
         Err(EngineError::Route(detail)) => {
-            stats.errors.inc();
             event.outcome = "route_error";
             return error_response(id, ErrorCode::Route, &detail);
         }
@@ -950,7 +939,6 @@ fn session_create(
     let (session, outcome) = match created {
         Ok(pair) => pair,
         Err(e) => {
-            stats.errors.inc();
             event.outcome = "route_error";
             log_warn!("session create failed to route: {e}");
             return error_response(id, ErrorCode::Route, &e.to_string());
@@ -961,15 +949,12 @@ fn session_create(
         Ok(entry) => entry,
         Err(full) => {
             return session_error(
-                stats,
                 event,
                 id,
                 &format!("session table full ({} live sessions)", full.capacity),
             );
         }
     };
-    stats.sessions_created.inc();
-    stats.completed.inc();
     fill_route_event(event, &outcome);
     let mut body = outcome_body(&outcome, request.algorithm, pins);
     body.set("session", Json::Num(entry.id as f64));
@@ -982,16 +967,10 @@ fn session_mutate(
     ops: Vec<ntr_core::DeltaOp>,
     id: Option<&Json>,
     sessions: &SessionTable,
-    stats: &ServiceStats,
     event: &mut WideEvent,
 ) -> Json {
     let Some(entry) = sessions.get(handle) else {
-        return session_error(
-            stats,
-            event,
-            id,
-            &format!("unknown or expired session {handle}"),
-        );
+        return session_error(event, id, &format!("unknown or expired session {handle}"));
     };
     let mut session = entry.session.lock().expect("session mutex poisoned");
     let total = ops.len();
@@ -1006,7 +985,7 @@ fn session_mutate(
             }
         }
     }
-    stats.session_mutations.add(applied as u64);
+    event.deltas_applied = u32::try_from(applied).unwrap_or(u32::MAX);
     event.pins = session.pins().len() as u64;
     let pending = session.pending_len();
     drop(session);
@@ -1014,7 +993,6 @@ fn session_mutate(
         // Earlier deltas in the batch stay applied — the client sees
         // exactly how far the batch got.
         let mut response = session_error(
-            stats,
             event,
             id,
             &format!("delta {} of {total} rejected: {e}", applied + 1),
@@ -1024,7 +1002,6 @@ fn session_mutate(
         response.set("pending", Json::Num(pending as f64));
         return response;
     }
-    stats.completed.inc();
     Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("session", Json::Num(handle as f64)),
@@ -1034,23 +1011,16 @@ fn session_mutate(
     ])
 }
 
-#[allow(clippy::too_many_arguments)]
 fn session_reroute(
     handle: u64,
     deadline: Option<Duration>,
     enqueued: Instant,
     id: Option<&Json>,
     sessions: &SessionTable,
-    stats: &ServiceStats,
     event: &mut WideEvent,
 ) -> Json {
     let Some(entry) = sessions.get(handle) else {
-        return session_error(
-            stats,
-            event,
-            id,
-            &format!("unknown or expired session {handle}"),
-        );
+        return session_error(event, id, &format!("unknown or expired session {handle}"));
     };
     let mut session = entry.session.lock().expect("session mutex poisoned");
     event.pins = session.pins().len() as u64;
@@ -1067,8 +1037,7 @@ fn session_reroute(
     event.rungs = journal::take_rungs();
     match result {
         Ok(report) => {
-            stats.record_session_reroute(report.path);
-            stats.completed.inc();
+            event.reroute_path = report.path.as_str();
             fill_route_event(event, &report.outcome);
             let mut body = outcome_body(&report.outcome, session.algorithm(), session.pins().len());
             drop(session);
@@ -1079,7 +1048,6 @@ fn session_reroute(
         }
         Err(e) if e.is_cancelled() => {
             drop(session);
-            stats.deadline_expired.inc();
             log_debug!("session reroute cancelled");
             event.outcome = "deadline";
             error_response(
@@ -1090,7 +1058,6 @@ fn session_reroute(
         }
         Err(e) => {
             drop(session);
-            stats.errors.inc();
             log_warn!("session reroute failed: {e}");
             event.outcome = "route_error";
             error_response(id, ErrorCode::Route, &e.to_string())
@@ -1102,22 +1069,14 @@ fn session_close(
     handle: u64,
     id: Option<&Json>,
     sessions: &SessionTable,
-    stats: &ServiceStats,
     event: &mut WideEvent,
 ) -> Json {
     let Some(entry) = sessions.remove(handle) else {
-        return session_error(
-            stats,
-            event,
-            id,
-            &format!("unknown or expired session {handle}"),
-        );
+        return session_error(event, id, &format!("unknown or expired session {handle}"));
     };
     // Trip the session-wide token first: an in-flight reroute for this
     // session aborts at its next cancellation check, releasing the lock.
     entry.cancel.cancel();
-    stats.sessions_closed.inc();
-    stats.completed.inc();
     let session = entry.session.lock().expect("session mutex poisoned");
     event.pins = session.pins().len() as u64;
     let s = session.stats();

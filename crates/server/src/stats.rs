@@ -1,6 +1,16 @@
 //! Service-level counters: request outcomes, per-algorithm tallies,
 //! latency histograms, and merged search-cost counters.
 //!
+//! Every request-driven number here is derived from the request's
+//! [`WideEvent`] by [`ServiceStats::observe`], which the service calls
+//! at its journal chokepoint next to the SLO engine, whether or not the
+//! journal is recording. `/metrics`, `{"op":"stats"}`, the TSDB and
+//! `/journal` therefore count the same answered requests. Only three
+//! kinds of update stay direct: the `ntr_inflight_requests` gauge, the
+//! TTL-eviction count (set by the observability ticker, not by a
+//! request), and the snapshot-time gauges and mirror counters of
+//! [`refresh_gauges`](ServiceStats::refresh_gauges).
+//!
 //! Every hot counter is a handle into the service's own
 //! [`MetricsRegistry`] (one registry per [`Service`](crate::Service)
 //! instance, so embedded services and tests stay isolated), which makes
@@ -9,20 +19,17 @@
 //! exposition, and direct reads in tests. Updates are single relaxed
 //! atomic operations, safe from worker threads and the submission path
 //! concurrently. The two cold aggregates (per-algorithm map, merged
-//! [`OracleStats`]) sit behind mutexes taken once per completed request.
+//! [`OracleStats`]) sit behind mutexes taken once per routed request.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use ntr_core::{OracleStats, ReroutePath};
+use ntr_core::OracleStats;
+use ntr_obs::journal::WideEvent;
 use ntr_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry, WindowedHistogram};
 
 use crate::json::Json;
-
-/// The latency histogram type (power-of-two buckets, rehomed to
-/// [`ntr_obs::metrics::Histogram`]); the old name stays for callers.
-pub type LatencyHistogram = Histogram;
 
 /// Git revision baked in at build time (absent in plain builds).
 const GIT_HASH: Option<&str> = option_env!("NTR_GIT_HASH");
@@ -52,11 +59,13 @@ pub fn build_git_hash() -> &'static str {
 pub struct ServiceStats {
     registry: MetricsRegistry,
     started: Instant,
-    /// Route requests accepted off the wire.
+    /// Route and session requests accepted off the wire (counted once
+    /// answered; unparseable lines are not requests).
     pub received: Arc<Counter>,
-    /// Route requests answered successfully (cached or routed).
+    /// Requests answered successfully (cached, coalesced, routed, or a
+    /// session op).
     pub completed: Arc<Counter>,
-    /// Route requests answered with a `route` error.
+    /// Requests answered with a `route` or `session` error.
     pub errors: Arc<Counter>,
     /// Requests rejected with `overloaded` (queue full).
     pub overloaded: Arc<Counter>,
@@ -78,8 +87,8 @@ pub struct ServiceStats {
     /// Entries currently held by the result cache (refreshed at
     /// snapshot time).
     pub cache_entries: Arc<Gauge>,
-    /// End-to-end latency of successful non-cached routes (enqueue to
-    /// response).
+    /// End-to-end latency of routed requests (enqueue to response; not
+    /// cache hits, coalesced duplicates or session ops).
     pub latency: Arc<Histogram>,
     /// The same latencies over a sliding window (the `/statusz` view;
     /// not in the registry — Prometheus computes its own windows).
@@ -260,46 +269,84 @@ impl Default for ServiceStats {
 }
 
 impl ServiceStats {
-    /// Credits one successfully routed (non-cached) request.
-    pub fn record_completed(
-        &self,
-        algorithm: &'static str,
-        latency: Duration,
-        search: OracleStats,
-        degraded: bool,
-        retries: u32,
-    ) {
-        self.completed.inc();
-        self.latency.record(latency);
-        self.window_latency.record(latency);
-        if degraded {
+    /// Counts one answered request from its wide event; the only place
+    /// a request changes a counter. Parse errors are not requests and
+    /// count nowhere. Latency, degradation, retries, candidates,
+    /// `per_algorithm` and the search totals count routed requests
+    /// only: answered `ok` by a route of their own, so not cache hits,
+    /// coalesced duplicates or session ops.
+    pub fn observe(&self, event: &WideEvent) {
+        if event.outcome == "parse_error" {
+            return;
+        }
+        self.received.inc();
+        match event.outcome {
+            "ok" => self.completed.inc(),
+            "route_error" => self.errors.inc(),
+            "session_error" => {
+                self.errors.inc();
+                self.session_errors.inc();
+            }
+            "overloaded" => self.overloaded.inc(),
+            "deadline" => self.deadline_expired.inc(),
+            _ => {}
+        }
+        if event.cache_hit {
+            self.cache_hits.inc();
+        }
+        if event.cache_miss {
+            self.cache_misses.inc();
+        }
+        if event.coalesced {
+            self.coalesced.inc();
+        }
+        self.session_mutations.add(u64::from(event.deltas_applied));
+        match event.reroute_path {
+            "quiescent" => self.session_reroutes_quiescent.inc(),
+            "rank1" => self.session_reroutes_rank1.inc(),
+            "refactor" => self.session_reroutes_refactor.inc(),
+            "scratch" => self.session_reroutes_scratch.inc(),
+            _ => {}
+        }
+        if event.outcome != "ok" {
+            return;
+        }
+        match event.algorithm {
+            "session.create" => self.sessions_created.inc(),
+            "session.close" => self.sessions_closed.inc(),
+            _ => {}
+        }
+        if event.cache_hit || event.coalesced || event.algorithm.starts_with("session.") {
+            return;
+        }
+        self.latency.record_micros(event.total_us);
+        self.window_latency.record_micros(event.total_us);
+        if event.degradation_steps > 0 {
             self.degraded.inc();
         }
-        self.retries.add(u64::from(retries));
-        self.candidates_generated.add(search.candidates_generated);
-        self.candidates_scored.add(search.candidates_scored);
-        self.candidates_pruned.add(search.candidates_pruned);
+        self.retries.add(u64::from(event.retries));
+        self.candidates_generated.add(event.candidates_generated);
+        self.candidates_scored.add(event.candidates_scored);
+        self.candidates_pruned.add(event.candidates_pruned);
         *self
             .per_algorithm
             .lock()
             .expect("stats mutex poisoned")
-            .entry(algorithm)
+            .entry(event.algorithm)
             .or_insert(0) += 1;
         let mut merged = self.oracle.lock().expect("stats mutex poisoned");
-        *merged = merged.merged(search);
+        *merged = merged.merged(OracleStats {
+            evaluations: event.evaluations,
+            factorizations: event.factorizations,
+            rank1_solves: event.rank1_solves,
+            candidates_generated: event.candidates_generated,
+            candidates_scored: event.candidates_scored,
+            candidates_pruned: event.candidates_pruned,
+            wall_nanos: event.oracle_us.saturating_mul(1000),
+        });
     }
 
-    /// Credits one answered session reroute to its decision-ladder path.
-    pub fn record_session_reroute(&self, path: ReroutePath) {
-        match path {
-            ReroutePath::Quiescent => self.session_reroutes_quiescent.inc(),
-            ReroutePath::Rank1 => self.session_reroutes_rank1.inc(),
-            ReroutePath::Refactor => self.session_reroutes_refactor.inc(),
-            ReroutePath::Scratch => self.session_reroutes_scratch.inc(),
-        }
-    }
-
-    /// The merged search-cost counters across all completed requests.
+    /// The merged search-cost counters across all routed requests.
     #[must_use]
     pub fn oracle_stats(&self) -> OracleStats {
         *self.oracle.lock().expect("stats mutex poisoned")
@@ -318,11 +365,12 @@ impl ServiceStats {
         &self.registry
     }
 
-    /// Refreshes the snapshot-time gauges and mirror counters.
-    /// `queue_depth`, `cache_entries` and `faults_injected` come from
-    /// the service, which owns those structures; called before every
-    /// exposition render and once a second by the observability ticker
-    /// so the TSDB snapshots fresh values.
+    /// Refreshes the snapshot-time gauges and mirror counters — the one
+    /// mirror path. `queue_depth`, `cache_entries`, `faults_injected`
+    /// and `sessions_active` come from the service, which owns those
+    /// structures; it calls this before every stats body and exposition
+    /// render, and the observability ticker once a second so the TSDB
+    /// snapshots fresh values.
     pub fn refresh_gauges(
         &self,
         queue_depth: usize,
@@ -347,35 +395,12 @@ impl ServiceStats {
             .add(journal_dropped.saturating_sub(self.journal_dropped.get()));
     }
 
-    /// Prometheus text exposition of the registry, gauges and mirror
-    /// counters refreshed first (see
-    /// [`refresh_gauges`](Self::refresh_gauges)).
+    /// Snapshot as the body of a stats response, as of the last
+    /// [`refresh_gauges`](Self::refresh_gauges).
     #[must_use]
-    pub fn prometheus(
-        &self,
-        queue_depth: usize,
-        cache_entries: usize,
-        faults_injected: u64,
-        sessions_active: usize,
-    ) -> String {
-        self.refresh_gauges(queue_depth, cache_entries, faults_injected, sessions_active);
-        ntr_obs::prometheus::render(&self.registry)
-    }
-
-    /// Snapshot as the body of a stats response. `queue_depth` and
-    /// `cache_entries` come from the service, which owns those
-    /// structures.
-    #[must_use]
-    pub fn to_json(
-        &self,
-        queue_depth: usize,
-        cache_entries: usize,
-        faults_injected: u64,
-        sessions_active: usize,
-    ) -> Json {
-        self.faults_injected
-            .add(faults_injected.saturating_sub(self.faults_injected.get()));
+    pub fn to_json(&self) -> Json {
         let load = |c: &Counter| Json::Num(c.get() as f64);
+        let gauge = |g: &Gauge| Json::Num(g.get() as f64);
         let per_algorithm = Json::Obj(
             self.per_algorithm
                 .lock()
@@ -402,12 +427,12 @@ impl ServiceStats {
             ("degraded", load(&self.degraded)),
             ("retries", load(&self.retries)),
             ("faults_injected", load(&self.faults_injected)),
-            ("cache_entries", Json::Num(cache_entries as f64)),
-            ("queue_depth", Json::Num(queue_depth as f64)),
+            ("cache_entries", gauge(&self.cache_entries)),
+            ("queue_depth", gauge(&self.queue_depth)),
             (
                 "sessions",
                 Json::obj(vec![
-                    ("active", Json::Num(sessions_active as f64)),
+                    ("active", gauge(&self.sessions_active)),
                     ("created", load(&self.sessions_created)),
                     ("closed", load(&self.sessions_closed)),
                     ("evicted", load(&self.sessions_evicted)),
@@ -449,20 +474,151 @@ impl ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ntr_core::ReroutePath;
     use ntr_obs::prometheus::check_exposition;
+
+    /// A request a worker routed: `ok` after a cache miss, one rung
+    /// degraded, with retries and search costs.
+    fn routed(algorithm: &'static str, total_us: u64) -> WideEvent {
+        WideEvent {
+            algorithm,
+            cache_miss: true,
+            total_us,
+            degradation_steps: 1,
+            retries: 2,
+            candidates_generated: 10,
+            candidates_scored: 8,
+            candidates_pruned: 3,
+            evaluations: 9,
+            factorizations: 2,
+            rank1_solves: 7,
+            oracle_us: 1500,
+            ..WideEvent::default()
+        }
+    }
+
+    fn event(algorithm: &'static str, outcome: &'static str) -> WideEvent {
+        WideEvent {
+            algorithm,
+            outcome,
+            ..WideEvent::default()
+        }
+    }
+
+    #[test]
+    fn observe_derives_every_counter_from_the_event() {
+        let s = ServiceStats::default();
+        let mut events = vec![
+            routed("ldrg", 700),
+            WideEvent {
+                cache_hit: true,
+                ..event("h1", "ok")
+            },
+            // A coalesced waiter carries its primary's columns.
+            WideEvent {
+                coalesced: true,
+                ..routed("ldrg", 900)
+            },
+            WideEvent {
+                coalesced: true,
+                cache_miss: true,
+                ..event("ldrg", "overloaded")
+            },
+            event("ldrg", "route_error"),
+            WideEvent {
+                cache_miss: true,
+                ..event("ldrg", "deadline")
+            },
+            WideEvent {
+                cache_miss: true,
+                ..event("ldrg", "overloaded")
+            },
+            event("session.create", "ok"),
+            WideEvent {
+                deltas_applied: 2,
+                ..event("session.mutate", "ok")
+            },
+            event("session.close", "ok"),
+            WideEvent {
+                deltas_applied: 1,
+                ..event("session.mutate", "session_error")
+            },
+            event("", "parse_error"),
+        ];
+        for path in [
+            ReroutePath::Quiescent,
+            ReroutePath::Rank1,
+            ReroutePath::Refactor,
+            ReroutePath::Scratch,
+        ] {
+            events.push(WideEvent {
+                reroute_path: path.as_str(),
+                ..event("session.reroute", "ok")
+            });
+        }
+        for e in &events {
+            s.observe(e);
+        }
+        for (name, counter, want) in [
+            ("received", &s.received, 15),
+            ("completed", &s.completed, 10),
+            ("errors", &s.errors, 2),
+            ("overloaded", &s.overloaded, 2),
+            ("deadline_expired", &s.deadline_expired, 1),
+            ("cache_hits", &s.cache_hits, 1),
+            ("cache_misses", &s.cache_misses, 5),
+            ("coalesced", &s.coalesced, 2),
+            ("degraded", &s.degraded, 1),
+            ("retries", &s.retries, 2),
+            ("candidates_generated", &s.candidates_generated, 10),
+            ("candidates_scored", &s.candidates_scored, 8),
+            ("candidates_pruned", &s.candidates_pruned, 3),
+            ("sessions_created", &s.sessions_created, 1),
+            ("sessions_closed", &s.sessions_closed, 1),
+            ("sessions_evicted", &s.sessions_evicted, 0),
+            ("session_errors", &s.session_errors, 1),
+            ("session_mutations", &s.session_mutations, 3),
+            ("reroutes_quiescent", &s.session_reroutes_quiescent, 1),
+            ("reroutes_rank1", &s.session_reroutes_rank1, 1),
+            ("reroutes_refactor", &s.session_reroutes_refactor, 1),
+            ("reroutes_scratch", &s.session_reroutes_scratch, 1),
+        ] {
+            assert_eq!(counter.get(), want, "{name}");
+        }
+        assert_eq!(s.latency.count(), 1);
+        assert_eq!(s.latency.sum_micros(), 700);
+        assert_eq!(s.window_latency.sliding().count(), 1);
+        assert_eq!(s.inflight_requests.get(), 0);
+        let j = s.to_json();
+        let per = j.get("per_algorithm").unwrap();
+        assert_eq!(per.get("ldrg").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(per.get("h1"), None, "cache hits are not routed");
+        let search = s.oracle_stats();
+        assert_eq!(
+            (
+                search.evaluations,
+                search.factorizations,
+                search.rank1_solves,
+                search.candidates_generated
+            ),
+            (9, 2, 7, 10)
+        );
+        assert_eq!(search.wall(), Duration::from_micros(1500));
+    }
 
     #[test]
     fn stats_json_shape() {
         let s = ServiceStats::default();
-        s.received.add(3);
-        s.record_completed(
-            "ldrg",
-            Duration::from_micros(100),
-            OracleStats::default(),
-            true,
-            2,
-        );
-        let j = s.to_json(2, 1, 5, 3);
+        for e in [
+            routed("ldrg", 100),
+            event("ldrg", "overloaded"),
+            event("ldrg", "overloaded"),
+        ] {
+            s.observe(&e);
+        }
+        s.refresh_gauges(2, 1, 5, 3);
+        let j = s.to_json();
+        assert_eq!(j.get("cache_entries").and_then(Json::as_f64), Some(1.0));
         assert_eq!(j.get("received").and_then(Json::as_f64), Some(3.0));
         assert_eq!(j.get("completed").and_then(Json::as_f64), Some(1.0));
         assert_eq!(j.get("queue_depth").and_then(Json::as_f64), Some(2.0));
@@ -483,16 +639,13 @@ mod tests {
     #[test]
     fn prometheus_snapshot_is_valid_and_carries_the_gauges() {
         let s = ServiceStats::default();
-        s.received.add(5);
-        s.record_completed(
-            "ldrg",
-            Duration::from_micros(700),
-            OracleStats::default(),
-            true,
-            1,
-        );
+        s.observe(&routed("ldrg", 700));
+        for _ in 0..4 {
+            s.observe(&event("ldrg", "overloaded"));
+        }
         s.inflight_requests.inc();
-        let text = s.prometheus(4, 9, 3, 2);
+        s.refresh_gauges(4, 9, 3, 2);
+        let text = ntr_obs::prometheus::render(s.registry());
         check_exposition(&text).unwrap();
         assert!(text.contains("ntr_requests_received_total 5"));
         assert!(text.contains("ntr_queue_depth 4"));
@@ -500,7 +653,7 @@ mod tests {
         assert!(text.contains("ntr_cache_entries 9"));
         assert!(text.contains("ntr_request_latency_us_count 1"));
         assert!(text.contains("ntr_requests_degraded_total 1"));
-        assert!(text.contains("ntr_retries_total 1"));
+        assert!(text.contains("ntr_retries_total 2"));
         assert!(text.contains("ntr_faults_injected_total 3"));
         assert!(
             text.contains("ntr_spans_dropped_total"),
@@ -515,22 +668,22 @@ mod tests {
     #[test]
     fn fault_mirror_never_decrements() {
         let s = ServiceStats::default();
-        let _ = s.prometheus(0, 0, 7, 0);
+        s.refresh_gauges(0, 0, 7, 0);
         assert_eq!(s.faults_injected.get(), 7);
-        let _ = s.prometheus(0, 0, 4, 0); // stale reading — ignored
+        s.refresh_gauges(0, 0, 4, 0); // stale reading — ignored
         assert_eq!(s.faults_injected.get(), 7);
+        let j = s.to_json();
+        assert_eq!(j.get("faults_injected").and_then(Json::as_f64), Some(7.0));
     }
 
     #[test]
-    fn completed_requests_feed_the_sliding_window() {
+    fn routed_requests_feed_the_sliding_window() {
         let s = ServiceStats::default();
-        s.record_completed(
-            "ldrg",
-            Duration::from_micros(300),
-            OracleStats::default(),
-            false,
-            0,
-        );
+        s.observe(&routed("ldrg", 300));
+        s.observe(&WideEvent {
+            cache_hit: true,
+            ..event("ldrg", "ok")
+        });
         assert_eq!(s.window_latency.sliding().count(), 1);
         assert!(s.window_latency.percentile_micros(50.0) >= 256);
     }
@@ -539,7 +692,8 @@ mod tests {
     fn two_services_do_not_share_counters() {
         let a = ServiceStats::default();
         let b = ServiceStats::default();
-        a.received.add(7);
+        a.observe(&routed("ldrg", 1));
+        assert_eq!(a.received.get(), 1);
         assert_eq!(b.received.get(), 0);
     }
 }
