@@ -17,7 +17,7 @@
 //! | `sparse_lu_factor`  | symbolic + numeric LU on an RC chain         |
 //! | `sparse_lu_refactor`| numeric-only refactor, pattern reused        |
 //! | `triangular_solve`  | forward/back solves on a cached factorization|
-//! | `moment_sweep`      | moment analysis + Elmore per candidate net   |
+//! | `moment_sweep`      | from-scratch extract + moment Elmore solve   |
 //! | `elmore_eval`       | Elmore analysis over a 100-pin tree          |
 //! | `route_end_to_end`  | whole `ldrg` route with the transient oracle |
 //! | `incremental_reroute`| session delta reroute (move pin + refactor) |
@@ -175,9 +175,10 @@ fn run_moment_sweep(iters: usize, warmup: usize) -> Vec<f64> {
     use ntr_circuit::{extract, ExtractOptions};
     use ntr_spice::elmore_delays;
 
-    // Per-candidate cost of the moment path: extract a routing and compute
-    // its graph Elmore delays (one factorization + two solves), exactly
-    // what each candidate costs an LDRG sweep under the moment oracle.
+    // One from-scratch moment evaluation: extract a routing and compute
+    // its graph Elmore delays (one factorization + two solves). This is
+    // what `MomentOracle::evaluate` costs, not an incremental candidate
+    // score (`sweep_score` times those).
     let tech = Technology::date94();
     let mst = prim_mst(&bench_net(20));
     let opts = ExtractOptions::default();
@@ -388,7 +389,7 @@ pub fn registry() -> Vec<Workload> {
         },
         Workload {
             name: "moment_sweep",
-            description: "extract + graph-Elmore moment solve of a 20-pin MST (per-candidate cost)",
+            description: "extract + graph-Elmore moment solve of a 20-pin MST (from scratch)",
             iters: 100,
             quick_iters: 15,
             warmup: 5,

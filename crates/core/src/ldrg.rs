@@ -67,8 +67,7 @@ pub struct LdrgResult {
     pub initial_cost: f64,
     /// Committed iterations, in order.
     pub iterations: Vec<IterationRecord>,
-    /// Search-cost counters of the candidate engine(s) that ran the
-    /// sweeps (for [`ldrg_prefiltered`], prefilter + search merged).
+    /// Search-cost counters of the candidate engine that ran the sweeps.
     pub stats: OracleStats,
 }
 
@@ -242,150 +241,6 @@ pub fn ldrg_with(
     })
 }
 
-/// Two-stage LDRG: rank all candidate edges with a **cheap prefilter
-/// oracle** (typically [`MomentOracle`](crate::MomentOracle)), then
-/// evaluate only the `shortlist` best of them with the expensive search
-/// oracle (typically a fine [`TransientOracle`](crate::TransientOracle)).
-///
-/// This is the production form of the paper's LDRG: the quadratic
-/// candidate sweep runs against one-sparse-solve evaluations, and full
-/// transient simulation is reserved for the handful of candidates that
-/// might actually win. With `shortlist >= the candidate count` this
-/// degenerates to plain [`ldrg_with`] under the search oracle.
-///
-/// # Errors
-///
-/// Propagates [`OracleError`] from either oracle.
-///
-/// # Examples
-///
-/// ```
-/// use ntr_circuit::Technology;
-/// use ntr_core::{ldrg_prefiltered, LdrgOptions, MomentOracle, TransientOracle};
-/// use ntr_geom::{Layout, NetGenerator};
-/// use ntr_graph::prim_mst;
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let net = NetGenerator::new(Layout::date94(), 4).random_net(12)?;
-/// let mst = prim_mst(&net);
-/// let tech = Technology::date94();
-/// let result = ldrg_prefiltered(
-///     &mst,
-///     &TransientOracle::new(tech),
-///     &MomentOracle::new(tech),
-///     8,
-///     &LdrgOptions::default(),
-/// )?;
-/// assert!(result.final_delay() <= result.initial_delay);
-/// # Ok(())
-/// # }
-/// ```
-pub fn ldrg_prefiltered(
-    initial: &RoutingGraph,
-    search: &dyn DelayOracle,
-    prefilter: &dyn DelayOracle,
-    shortlist: usize,
-    opts: &LdrgOptions,
-) -> Result<LdrgResult, OracleError> {
-    let _span = ntr_obs::span("ldrg_prefiltered");
-    let mut graph = initial.clone();
-    let mut search_engine = candidate_oracle_for(search);
-    let mut pre_engine = candidate_oracle_for(prefilter);
-    let initial_delay = opts.objective.score(&search_engine.prepare(&graph)?);
-    let initial_cost = graph.total_cost();
-
-    let mut iterations = Vec::new();
-    let mut current = initial_delay;
-    let max_edges = if opts.max_added_edges == 0 {
-        usize::MAX
-    } else {
-        opts.max_added_edges
-    };
-    let shortlist = shortlist.max(1);
-    let mut generator = CandidateGenerator::new(opts.candidates);
-    let mut scored: u64 = 0;
-    let mut iter_index: u32 = 0;
-
-    while iterations.len() < max_edges {
-        let _iter_span = ntr_obs::span("ldrg.iteration");
-        opts.cancel.check()?;
-        let iter_started = std::time::Instant::now();
-        // Stage 1: cheap ranking of every candidate edge.
-        let candidates = generator.generate(&graph).to_vec();
-        pre_engine.prepare(&graph)?;
-        let pre_scores = sweep_candidates(
-            pre_engine.as_ref(),
-            &candidates,
-            &opts.objective,
-            opts.parallelism,
-            Some(&opts.cancel),
-        )?;
-        scored += pre_scores.len() as u64;
-        let generated_now = candidates.len() as u64;
-        let mut scored_now = pre_scores.len() as u64;
-        let mut ranked: Vec<(f64, Candidate)> = pre_scores.into_iter().zip(candidates).collect();
-        // Stable sort: ties keep candidate-scan order, so a shortlist of
-        // everything reproduces plain `ldrg` exactly.
-        ranked.sort_by(|x, y| x.0.total_cmp(&y.0));
-        ranked.truncate(shortlist);
-        let short: Vec<Candidate> = ranked.into_iter().map(|(_, c)| c).collect();
-
-        // Stage 2: expensive evaluation of the shortlist only.
-        let scores = sweep_candidates(
-            search_engine.as_ref(),
-            &short,
-            &opts.objective,
-            opts.parallelism,
-            Some(&opts.cancel),
-        )?;
-        scored += scores.len() as u64;
-        scored_now += scores.len() as u64;
-        let before = current;
-        let accepted = match best_below(&scores, current) {
-            Some(i) if scores[i] < current * (1.0 - opts.min_improvement) => {
-                let Candidate::AddEdge(a, b) = short[i] else {
-                    unreachable!("ldrg sweeps edge candidates only")
-                };
-                let edge = graph.add_edge(a, b).expect("distinct valid nodes");
-                current = scores[i];
-                iterations.push(IterationRecord {
-                    added: (a, b),
-                    edge,
-                    delay: current,
-                    cost: graph.total_cost(),
-                });
-                search_engine.prepare(&graph)?;
-                Some((a, b))
-            }
-            _ => None,
-        };
-        record_iteration(
-            iter_index,
-            accepted,
-            current,
-            before - current,
-            generated_now,
-            scored_now,
-            iter_started,
-        );
-        iter_index += 1;
-        if accepted.is_none() {
-            break;
-        }
-    }
-    let mut stats = search_engine
-        .stats()
-        .merged(pre_engine.stats())
-        .merged(generator.stats());
-    stats.candidates_scored += scored;
-    Ok(LdrgResult {
-        graph,
-        initial_delay,
-        initial_cost,
-        iterations,
-        stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,43 +338,6 @@ mod tests {
             }
         }
         assert!(winners >= 3, "only {winners}/5 improved");
-    }
-
-    #[test]
-    fn prefiltered_tracks_exhaustive_quality() {
-        let tech = Technology::date94();
-        let search = crate::TransientOracle::fast(tech);
-        let prefilter = MomentOracle::new(tech);
-        let mut sum_exhaustive = 0.0;
-        let mut sum_filtered = 0.0;
-        for seed in 0..6 {
-            let g = mst(seed, 10);
-            let exhaustive = ldrg_with(&g, &search, &LdrgOptions::default()).unwrap();
-            let filtered =
-                super::ldrg_prefiltered(&g, &search, &prefilter, 6, &LdrgOptions::default())
-                    .unwrap();
-            sum_exhaustive += exhaustive.final_delay() / exhaustive.initial_delay;
-            sum_filtered += filtered.final_delay() / filtered.initial_delay;
-            // The shortlist can only restrict, never invent, improvements.
-            assert!(filtered.final_delay() <= filtered.initial_delay);
-        }
-        // Within 3% mean quality of the exhaustive search.
-        assert!(
-            sum_filtered <= sum_exhaustive + 0.03 * 6.0,
-            "filtered {sum_filtered} vs exhaustive {sum_exhaustive}"
-        );
-    }
-
-    #[test]
-    fn huge_shortlist_degenerates_to_plain_ldrg() {
-        let g = mst(9, 8);
-        let oracle = MomentOracle::new(Technology::date94());
-        let plain = ldrg_with(&g, &oracle, &LdrgOptions::default()).unwrap();
-        let filtered =
-            super::ldrg_prefiltered(&g, &oracle, &oracle, usize::MAX, &LdrgOptions::default())
-                .unwrap();
-        assert_eq!(plain.final_delay(), filtered.final_delay());
-        assert_eq!(plain.iterations.len(), filtered.iterations.len());
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub use fidelity::{Fidelity, FidelityCosts};
 pub use hashkey::{canonical_net_hash, Fnv64};
 pub use heuristics::{h1_with, h2_with, h3_with, HeuristicOptions, HeuristicResult};
 pub use horg::{horg, HorgOptions, HorgResult};
-pub use ldrg::{ldrg_prefiltered, ldrg_with, IterationRecord, LdrgOptions, LdrgResult};
+pub use ldrg::{ldrg_with, IterationRecord, LdrgOptions, LdrgResult};
 pub use netlist::{route_netlist, NetlistRouteOptions, RoutedNet};
 pub use objective::Objective;
 pub use oracle::{

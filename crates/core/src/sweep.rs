@@ -1,8 +1,8 @@
 //! The shared candidate-evaluation engine.
 //!
 //! Every greedy loop in this crate — [`ldrg_with`](crate::ldrg_with),
-//! [`ldrg_prefiltered`](crate::ldrg_prefiltered), [`h1_with`](crate::h1_with) and
-//! [`wire_size`](crate::wire_size) — has the same inner shape: take the
+//! [`h1_with`](crate::h1_with) and [`wire_size`](crate::wire_size) — has
+//! the same inner shape: take the
 //! committed routing, enumerate trial modifications, score each one, and
 //! keep the best. This module factors that shape into one kernel:
 //!
@@ -22,10 +22,12 @@
 //! applies the candidate, and re-evaluates from scratch — `O(n^{1.5})`
 //! sparse work per candidate. [`IncrementalMomentOracle`] (reached via
 //! [`DelayOracle::incremental`] on a [`MomentOracle`]) extracts and
-//! factors the committed routing **once** in `prepare` and then scores
-//! each candidate with a Sherman–Morrison rank-1 update of the cached
-//! factorization — `O(n)` triangular-solve work per candidate, no
-//! re-extraction and no refactorization.
+//! factors the committed routing **once** in `prepare`. It then scores
+//! each trial edge by a Sherman–Morrison rank-1 update of the cached
+//! factorization, read off a per-iteration endpoint-column table: each
+//! graph node's `order + 1` response columns are solved once, on first
+//! use, and each candidate then costs `O(sinks)` scalar work, with no
+//! triangular solve, no re-extraction and no refactorization.
 //!
 //! Determinism: [`sweep_candidates`] returns scores *indexed by
 //! candidate*, so selection (`best_below`) is independent of thread
@@ -38,7 +40,7 @@ use std::time::{Duration, Instant};
 use ntr_circuit::{extract, Extracted};
 use ntr_graph::{EdgeId, NodeId, RoutingGraph};
 use ntr_sparse::SolveError;
-use ntr_spice::{MomentEngine, Moments, SimError};
+use ntr_spice::{EndpointTable, MomentEngine, Moments, ProbeView, SimError};
 
 use crate::{
     CancelToken, DelayOracle, DelayReport, MomentMetric, MomentOracle, Objective, OracleError,
@@ -85,7 +87,7 @@ impl OracleStats {
         Duration::from_nanos(self.wall_nanos)
     }
 
-    /// Field-wise sum of two counters (e.g. prefilter + search oracle).
+    /// Field-wise sum of two counters (e.g. oracle + candidate generator).
     #[must_use]
     pub fn merged(self, other: OracleStats) -> OracleStats {
         OracleStats {
@@ -372,7 +374,16 @@ struct PreparedMoments {
     graph: RoutingGraph,
     extracted: Extracted,
     engine: MomentEngine,
+    /// Endpoint columns at the graph nodes, filled as candidates touch
+    /// them; `None` when a full table would exceed [`TABLE_BUDGET_BYTES`].
+    table: Option<EndpointTable>,
 }
+
+/// The most bytes one prepared routing's [`EndpointTable`] may hold when
+/// full. A 1,000-node routing needs 16 MB under Elmore and 24 MB under
+/// D2M; a 10,000-node one would need 1.6 GB and scores through
+/// [`MomentEngine::wire_moments`] instead.
+const TABLE_BUDGET_BYTES: usize = 32 << 20;
 
 /// The incremental [`CandidateOracle`] behind [`MomentOracle`].
 ///
@@ -381,8 +392,15 @@ struct PreparedMoments {
 /// Sherman–Morrison rank-1 identity (a trial wire's π-chain reduces to a
 /// rank-1 conductance between its endpoints; its distributed capacitance
 /// enters the moment recursion through boundary-weighted right-hand
-/// sides) — two triangular solves per moment order instead of a fresh
-/// factorization. `SetWidth` candidates rescale the stamped R/C values
+/// sides). The identity is evaluated from an [`EndpointTable`] at the
+/// graph nodes, which `prepare` clears and `score` fills lazily, so a
+/// candidate costs scalar work at its endpoints and the sinks. A routing
+/// whose full table would exceed a fixed byte budget (see
+/// [`IncrementalMomentOracle::table_fits`]) scores each candidate through
+/// [`MomentEngine::wire_moments`] instead: one triangular solve per
+/// moment order plus one for the update. Both paths give the same scores
+/// to rounding, and each score depends only on the candidate and the
+/// prepared routing. `SetWidth` candidates rescale the stamped R/C values
 /// of one edge in place and reuse the cached **symbolic** analysis via
 /// `refactor_with_same_pattern` — numeric-only refactorization, no
 /// ordering or elimination-tree work.
@@ -404,10 +422,35 @@ impl<'a> IncrementalMomentOracle<'a> {
         }
     }
 
+    /// Whether a prepared routing of `graph_nodes` nodes scores its
+    /// `AddEdge` candidates from an [`EndpointTable`] at moment `order`:
+    /// the table must support the order and fit the fixed byte budget.
+    /// Over budget, candidates score through
+    /// [`MomentEngine::wire_moments`].
+    #[must_use]
+    pub fn table_fits(graph_nodes: usize, order: usize) -> bool {
+        order <= EndpointTable::MAX_ORDER
+            && EndpointTable::bytes_for(graph_nodes, order) <= TABLE_BUDGET_BYTES
+    }
+
+    /// Whether the prepared routing scores `AddEdge` candidates from an
+    /// endpoint-column table (`false` before the first `prepare`).
+    #[must_use]
+    pub fn uses_table(&self) -> bool {
+        self.state.as_ref().is_some_and(|s| s.table.is_some())
+    }
+
     fn order(&self) -> usize {
         match self.oracle.metric {
             MomentMetric::Elmore => 1,
             MomentMetric::D2m => 2,
+        }
+    }
+
+    fn probe_delay(&self, probe: ProbeView<'_>) -> f64 {
+        match self.oracle.metric {
+            MomentMetric::Elmore => probe.elmore(),
+            MomentMetric::D2m => probe.d2m(),
         }
     }
 
@@ -437,19 +480,21 @@ impl CandidateOracle for IncrementalMomentOracle<'_> {
         let probes = engine
             .base_probe_moments(&extracted.sink_nodes)
             .map_err(OracleError::Sim)?;
-        let report = DelayReport::new(
-            probes
-                .iter()
-                .map(|p| match self.oracle.metric {
-                    MomentMetric::Elmore => p.elmore(),
-                    MomentMetric::D2m => p.d2m(),
-                })
-                .collect(),
-        );
+        let report = DelayReport::new(probes.iter().map(|p| self.probe_delay(p.view())).collect());
+        let table = if Self::table_fits(extracted.graph_nodes.len(), engine.order()) {
+            Some(
+                engine
+                    .endpoint_table(&extracted.graph_nodes, &extracted.sink_nodes)
+                    .map_err(OracleError::Sim)?,
+            )
+        } else {
+            None
+        };
         self.state = Some(PreparedMoments {
             graph: graph.clone(),
             extracted,
             engine,
+            table,
         });
         self.stats.record(start, 1, 0);
         Ok(report)
@@ -469,19 +514,26 @@ impl CandidateOracle for IncrementalMomentOracle<'_> {
                     b,
                     1.0,
                 )?;
-                let probes = state
-                    .engine
-                    .wire_moments(&wire, &state.extracted.sink_nodes)
-                    .map_err(OracleError::Sim)?;
-                let report = DelayReport::new(
-                    probes
+                let delays = match &state.table {
+                    Some(table) => {
+                        let mut delays = Vec::with_capacity(state.extracted.sink_nodes.len());
+                        state
+                            .engine
+                            .table_wire_moments(table, &wire, (a.index(), b.index()), |p| {
+                                delays.push(self.probe_delay(p));
+                            })
+                            .map_err(OracleError::Sim)?;
+                        delays
+                    }
+                    None => state
+                        .engine
+                        .wire_moments(&wire, &state.extracted.sink_nodes)
+                        .map_err(OracleError::Sim)?
                         .iter()
-                        .map(|p| match self.oracle.metric {
-                            MomentMetric::Elmore => p.elmore(),
-                            MomentMetric::D2m => p.d2m(),
-                        })
+                        .map(|p| self.probe_delay(p.view()))
                         .collect(),
-                );
+                };
+                let report = DelayReport::new(delays);
                 self.stats.record(start, 0, 1);
                 Ok(report)
             }

@@ -4,9 +4,7 @@
 use std::time::Duration;
 
 use ntr_circuit::Technology;
-use ntr_core::{
-    h1_with, ldrg_prefiltered, ldrg_with, CancelToken, LdrgOptions, MomentOracle, OracleError,
-};
+use ntr_core::{h1_with, ldrg_with, CancelToken, LdrgOptions, MomentOracle, OracleError};
 use ntr_geom::{Layout, NetGenerator};
 use ntr_graph::{prim_mst, RoutingGraph};
 
@@ -35,7 +33,7 @@ fn tripped_token_cancels_ldrg_immediately() {
 }
 
 #[test]
-fn expired_deadline_cancels_ldrg_and_prefiltered() {
+fn expired_deadline_cancels_ldrg() {
     let oracle = MomentOracle::new(Technology::date94());
     let opts = LdrgOptions {
         cancel: CancelToken::deadline_in(Duration::ZERO),
@@ -43,10 +41,6 @@ fn expired_deadline_cancels_ldrg_and_prefiltered() {
     };
     assert!(matches!(
         ldrg_with(&mst(2, 15), &oracle, &opts),
-        Err(OracleError::Cancelled(_))
-    ));
-    assert!(matches!(
-        ldrg_prefiltered(&mst(2, 15), &oracle, &oracle, 4, &opts),
         Err(OracleError::Cancelled(_))
     ));
 }

@@ -3,6 +3,10 @@ use ntr_sparse::{Ordering, Rank1Update, SolveError, SparseLu};
 
 use crate::{Mna, Moments, SimError};
 
+mod table;
+
+pub use table::EndpointTable;
+
 /// Step-response moments of one probed node under a candidate
 /// perturbation, as raw recursion vectors sampled at the probe.
 ///
@@ -18,6 +22,55 @@ pub struct ProbeMoments {
 }
 
 impl ProbeMoments {
+    /// A borrowed view of these moments.
+    #[must_use]
+    pub fn view(&self) -> ProbeView<'_> {
+        ProbeView {
+            dc: self.dc,
+            xk: &self.xk,
+        }
+    }
+
+    /// The normalized moment `m_k` (`k` in `1..=order`); `0.0` when no DC
+    /// signal arrives.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k` is zero or exceeds the computed order.
+    #[must_use]
+    pub fn normalized_moment(&self, k: usize) -> f64 {
+        self.view().normalized_moment(k)
+    }
+
+    /// The Elmore delay `−m₁`, in seconds.
+    #[must_use]
+    pub fn elmore(&self) -> f64 {
+        self.view().elmore()
+    }
+
+    /// The D2M delay estimate; see [`ProbeView::d2m`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when fewer than two moment orders were computed.
+    #[must_use]
+    pub fn d2m(&self) -> f64 {
+        self.view().d2m()
+    }
+}
+
+/// The step-response moments of one probe, borrowed: what
+/// [`MomentEngine::table_wire_moments`] hands its visitor per probe, and
+/// what every [`ProbeMoments`] delay formula runs on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProbeView<'a> {
+    /// DC (steady-state) value at the probe.
+    pub dc: f64,
+    /// Raw moment-vector samples `x₁..x_order` at the probe.
+    pub xk: &'a [f64],
+}
+
+impl ProbeView<'_> {
     /// The normalized moment `m_k` (`k` in `1..=order`); `0.0` when no DC
     /// signal arrives.
     ///
@@ -65,7 +118,7 @@ impl ProbeMoments {
 /// factorization of the base circuit, against which every candidate
 /// perturbation is scored **without refactoring**.
 ///
-/// Two fast paths:
+/// Three fast paths:
 ///
 /// - [`MomentEngine::wire_moments`] — a trial wire between two existing
 ///   nodes. The wire's π-segment chain is reduced exactly onto its
@@ -75,6 +128,10 @@ impl ProbeMoments {
 ///   [`Rank1Update`] solves by the Sherman–Morrison identity. Cost per
 ///   candidate: `order + 1` triangular solves against the *cached*
 ///   factors — no extraction, no assembly, no factorization.
+/// - [`MomentEngine::table_wire_moments`] — the same trial wire scored
+///   from an [`EndpointTable`] of response columns that many candidates
+///   share: `order + 1` solves per table row, once, then scalar work per
+///   candidate.
 /// - [`MomentEngine::moments_with_same_pattern`] — a circuit whose element
 ///   *values* changed but whose topology did not (wire-width rescaling).
 ///   The cached factorization's symbolic structure is replayed numerically
@@ -166,8 +223,10 @@ impl MomentEngine {
             .collect()
     }
 
-    /// Moments at `probes` with a trial wire applied as a pure delta —
-    /// the candidate-sweep hot path.
+    /// Moments at `probes` with a trial wire applied as a pure delta,
+    /// with its own triangular solves (compare
+    /// [`MomentEngine::table_wire_moments`], which shares them across
+    /// candidates).
     ///
     /// The wire's internal chain nodes are eliminated exactly: a chain of
     /// `k` equal resistive segments reduces to an end-to-end conductance

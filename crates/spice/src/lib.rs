@@ -56,7 +56,7 @@ mod workspace;
 
 pub use adaptive::AdaptiveOptions;
 pub use delay::{measure_threshold_crossing, sink_delays, sink_delays_with, SimConfig};
-pub use engine::{MomentEngine, ProbeMoments};
+pub use engine::{EndpointTable, MomentEngine, ProbeMoments, ProbeView};
 pub use error::SimError;
 pub use mna::{Mna, MnaScratch};
 pub use moments::{d2m_delay, elmore_delays, Moments};
