@@ -1,11 +1,10 @@
 //! The regression detector: pairs current `BENCH_*.json` artifacts with
 //! a committed baseline directory and renders verdicts.
 //!
-//! The statistical rule lives in [`ntr_obs::compare`] (shared with
-//! `ntr-loadgen --baseline`); this module handles the artifact-level
-//! concerns — matching workloads by name, reporting ones that appear on
-//! only one side, formatting the human table, and deciding the gate's
-//! exit status.
+//! The statistical rule lives in [`ntr_obs::compare`]; this module
+//! handles the artifact-level concerns — matching workloads by name,
+//! reporting ones that appear on only one side, formatting the human
+//! table, and deciding the gate's exit status.
 
 use crate::artifact::Artifact;
 pub use ntr_obs::compare::DEFAULT_THRESHOLD_PCT;

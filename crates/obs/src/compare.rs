@@ -1,6 +1,5 @@
 //! Statistical comparison of performance measurements: the judgment
-//! primitive behind the `ntr-bench` regression gate and
-//! `ntr-loadgen --baseline`.
+//! primitive behind the `ntr-bench` regression gate.
 //!
 //! A [`Measurement`] is a median with an optional confidence interval.
 //! [`classify`] renders the three-way verdict the callers act on:
@@ -13,11 +12,11 @@
 //! - **Improved** — the mirror image, for celebratory output.
 //! - **Unchanged** — everything else.
 //!
-//! Measurements without intervals (e.g. the load generator's raw
-//! percentiles) degrade gracefully to a pure threshold test.
+//! Measurements without intervals (artifacts recorded without a CI)
+//! degrade gracefully to a pure threshold test.
 
-/// Default shift threshold (percent) a regression must clear, shared by
-/// the `ntr-bench` gate and `ntr-loadgen --baseline`.
+/// Default shift threshold (percent) a regression must clear in the
+/// `ntr-bench` gate.
 pub const DEFAULT_THRESHOLD_PCT: f64 = 5.0;
 
 /// A summarized performance number: central value plus an optional

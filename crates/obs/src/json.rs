@@ -63,6 +63,7 @@ impl Json {
     /// internal cap.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -227,6 +228,7 @@ fn write_string(s: &str, out: &mut String) {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -420,12 +422,15 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control byte in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .expect("input slice starts at a char boundary");
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte as one slice. All three stops are
+                    // ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -476,6 +481,27 @@ mod tests {
         // And non-ASCII text round-trips unescaped.
         let w = Json::Str("é文😀".to_owned());
         assert_eq!(Json::parse(&w.to_line()).unwrap(), w);
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes_round_trips() {
+        let v = Json::parse(r#""é\"文\\😀\n\u00fcx\tß""#).unwrap();
+        assert_eq!(v.as_str(), Some("é\"文\\😀\nüx\tß"));
+        assert_eq!(Json::parse(&v.to_line()).unwrap(), v);
+        // A control byte inside a multi-byte run is still rejected at
+        // its own position.
+        let err = Json::parse("\"文\u{1}\"").unwrap_err();
+        assert_eq!(err.pos, 4);
+    }
+
+    #[test]
+    fn megabyte_string_parses_in_linear_time() {
+        let text = format!("\"{}\"", "ab文".repeat(1 << 18));
+        let start = std::time::Instant::now();
+        let v = Json::parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(v.as_str().map(str::len), Some(text.len() - 2));
+        assert!(elapsed.as_secs_f64() < 2.0, "1 MB string took {elapsed:?}");
     }
 
     #[test]

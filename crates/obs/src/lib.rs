@@ -31,7 +31,7 @@
 //!   `{"op":"profile"}`).
 //! - [`compare`] — statistical verdicts (regressed / improved /
 //!   unchanged) over summarized measurements: the primitive behind the
-//!   `ntr-bench` regression gate and `ntr-loadgen --baseline`.
+//!   `ntr-bench` regression gate.
 //! - [`journal`] — the flight recorder: an always-on wait-free ring of
 //!   wide per-request events and per-LDRG-iteration records, plus
 //!   tail-sampled full-trace exemplars (slowest-K + every

@@ -531,8 +531,8 @@ impl SloEngine {
 }
 
 /// Strict validator for [`SloEngine::alerts_json`] output — used by
-/// tests, the CI smoke checker, and the loadgen chaos gate. Returns
-/// the number of alerts.
+/// the unit tests and by the HTTP-surface gate of `ntr-server`'s `live`
+/// test binary. Returns the number of alerts.
 ///
 /// # Errors
 /// A description of the first malformed element.

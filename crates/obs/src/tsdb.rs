@@ -562,7 +562,7 @@ mod tests {
         assert_eq!(db.query_at("t_gauge", 1, 2).unwrap()[0].last, -4.0);
         // An empty histogram contributes no percentile series.
         let registry2 = MetricsRegistry::new();
-        registry2.histogram("t_empty_us", "never recorded");
+        let _ = registry2.histogram("t_empty_us", "never recorded");
         let db2 = small();
         db2.snapshot_registry_at(&registry2, 1);
         assert!(db2.series_names().is_empty());

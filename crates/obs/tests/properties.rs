@@ -235,7 +235,7 @@ proptest! {
             .into_iter()
             .map(|(t, v)| (t, v as f64 - 1000.0))
             .collect();
-        samples.sort_by(|a, b| a.0.cmp(&b.0));
+        samples.sort_by_key(|s| s.0);
         let now = samples.last().expect("nonempty").0;
         for &(t, v) in &samples {
             db.record_at("m", t, v);

@@ -31,9 +31,10 @@
 //!   ([`ntr_obs::journal`]) surfaced as `{"op":"journal"}` and
 //!   `GET /journal`.
 //!
-//! Two binaries ship with the crate: `ntr-serve` (the server) and
-//! `ntr-loadgen` (workload generator measuring throughput, latency
-//! percentiles, and cache hit rate against a spawned server).
+//! One binary ships with the crate: `ntr-serve`, the server. Its live
+//! contracts are checked by `cargo test --release -p ntr-server --test
+//! live`, which spawns it; throughput and latency under load are
+//! measured by `ntr-e2e` in `e2e-bench/`.
 //!
 //! # Protocol example
 //!

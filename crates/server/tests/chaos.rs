@@ -3,11 +3,14 @@
 //! the moment rung and still answer `ok` — never `deadline`, never a
 //! hard `route` error.
 
+pub mod common;
+
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use common::random_pins;
 use ntr_core::FaultPlan;
-use ntr_geom::{Layout, NetGenerator, Point};
+use ntr_geom::Point;
 use ntr_server::json::Json;
 use ntr_server::proto::{Algorithm, OracleKind, RouteRequest};
 use ntr_server::service::{Service, ServiceConfig};
@@ -25,14 +28,6 @@ fn request(pins: Vec<Point>, deadline: Option<Duration>) -> RouteRequest {
         degrade: true,
         candidates: ntr_core::CandidateGen::Exhaustive,
     }
-}
-
-fn random_pins(seed: u64, size: usize) -> Vec<Point> {
-    NetGenerator::new(Layout::date94(), seed)
-        .random_net(size)
-        .unwrap()
-        .pins()
-        .to_vec()
 }
 
 fn chaos_service() -> Service {

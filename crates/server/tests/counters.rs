@@ -9,13 +9,14 @@
 //! The journal is process-global, so this binary holds exactly one
 //! test: a second one would add its requests to the same journal.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+pub mod common;
+
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use common::{http_ok, random_pins, sample};
 use ntr_core::DeltaOp;
-use ntr_geom::{Layout, NetGenerator, Point};
+use ntr_geom::Point;
 use ntr_obs::Journal;
 use ntr_server::http::spawn_metrics_server;
 use ntr_server::json::Json;
@@ -35,14 +36,6 @@ fn request(pins: Vec<Point>, oracle: OracleKind) -> RouteRequest {
         degrade: true,
         candidates: ntr_core::CandidateGen::Exhaustive,
     }
-}
-
-fn random_pins(seed: u64, size: usize) -> Vec<Point> {
-    NetGenerator::new(Layout::date94(), seed)
-        .random_net(size)
-        .unwrap()
-        .pins()
-        .to_vec()
 }
 
 /// Submits every request back to back, then waits for every answer.
@@ -65,26 +58,6 @@ fn session(service: &Service, action: SessionAction) -> Json {
         Box::new(move |r| tx.send(r).unwrap()),
     );
     rx.recv_timeout(Duration::from_secs(120)).unwrap()
-}
-
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (head, body) = raw.split_once("\r\n\r\n").expect("headers then body");
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-    body.to_owned()
-}
-
-/// The value of an unlabelled sample in a text exposition.
-fn sample(exposition: &str, name: &str) -> u64 {
-    exposition
-        .lines()
-        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
-        .unwrap_or_else(|| panic!("{name} missing from the exposition"))
-        .parse::<f64>()
-        .unwrap() as u64
 }
 
 fn error_of(response: &Json) -> Option<&str> {
@@ -224,7 +197,7 @@ fn metrics_counters_equal_the_counts_recomputed_from_the_journal() {
 
     // Every answer above was journaled before it was delivered, so the
     // journal and the counters are final now.
-    let exposition = http_get(addr, "/metrics");
+    let exposition = http_ok(addr, "/metrics");
     let journal = Json::parse(&Journal::global().snapshot().to_json().to_string()).unwrap();
     assert_eq!(
         journal.get("requests_dropped").and_then(Json::as_f64),

@@ -8,13 +8,14 @@
 //! test: parallel tests would interleave their events and make exact
 //! count assertions meaningless.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+pub mod common;
+
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use common::{http_ok, random_pins};
 use ntr_core::FaultPlan;
-use ntr_geom::{Layout, NetGenerator, Point};
+use ntr_geom::Point;
 use ntr_obs::journal::check_journal_lines;
 use ntr_obs::Journal;
 use ntr_server::http::spawn_metrics_server;
@@ -35,25 +36,6 @@ fn request(pins: Vec<Point>) -> RouteRequest {
         degrade: true,
         candidates: ntr_core::CandidateGen::Exhaustive,
     }
-}
-
-fn random_pins(seed: u64, size: usize) -> Vec<Point> {
-    NetGenerator::new(Layout::date94(), seed)
-        .random_net(size)
-        .unwrap()
-        .pins()
-        .to_vec()
-}
-
-/// One `GET path` against the observability endpoint; returns the body.
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (head, body) = raw.split_once("\r\n\r\n").expect("headers then body");
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-    body.to_owned()
 }
 
 #[test]
@@ -147,7 +129,7 @@ fn flagged_requests_are_journaled_and_dump_surfaces_agree() {
     // Surface 2: GET /journal serves the same records as JSON-lines
     // that pass the strict checker.
     let (addr, _http) = spawn_metrics_server("127.0.0.1:0", Arc::clone(&service)).unwrap();
-    let over_http = check_journal_lines(&http_get(addr, "/journal")).unwrap();
+    let over_http = check_journal_lines(&http_ok(addr, "/journal")).unwrap();
 
     // Surface 3: the post-mortem dump is the same JSON-lines writer
     // `ntr-serve --journal-out` invokes at drain or panic.

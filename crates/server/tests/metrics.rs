@@ -1,14 +1,15 @@
 //! Metrics and tracing integration: the in-process `GET /metrics` HTTP
-//! responder (plus its `/statusz` and `/journal` siblings), the
-//! `{"op":"metrics"}` protocol op, and trace ids in responses — each
-//! validated with the in-repo exposition / journal checkers.
+//! responder (plus its `/statusz` and `/journal` siblings) and trace ids
+//! in responses — each validated with the in-repo exposition / journal
+//! checkers. The `{"op":"metrics"}` protocol op is checked against the
+//! real binary by the smoke gate in `live.rs`.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::process::{Command, Stdio};
+pub mod common;
+
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use common::http_get;
 use ntr_geom::Point;
 use ntr_obs::prometheus::check_exposition;
 use ntr_server::http::{spawn_metrics_server, METRICS_CONTENT_TYPE};
@@ -39,15 +40,6 @@ fn route_once(service: &Service) -> Json {
     );
     rx.recv_timeout(Duration::from_secs(60))
         .expect("a response")
-}
-
-fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to metrics server");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read response");
-    let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    (head.to_owned(), body.to_owned())
 }
 
 #[test]
@@ -172,36 +164,4 @@ fn distinct_requests_get_distinct_trace_ids() {
     let tb = b.get("trace").and_then(Json::as_f64).unwrap();
     assert_ne!(ta, tb);
     service.shutdown();
-}
-
-#[test]
-fn metrics_op_over_stdio_returns_valid_exposition() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_ntr-serve"))
-        .args(["--stdio", "--workers", "1"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("ntr-serve spawns");
-    let mut stdin = child.stdin.take().unwrap();
-    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
-    let mut ask = |line: &str| -> Json {
-        writeln!(stdin, "{line}").unwrap();
-        let reply = lines.next().expect("a response line").unwrap();
-        Json::parse(&reply).unwrap_or_else(|e| panic!("bad response {reply:?}: {e}"))
-    };
-
-    let routed = ask(r#"{"op":"route","id":1,"pins":[[0,0],[2500,1500]]}"#);
-    assert_eq!(routed.get("ok"), Some(&Json::Bool(true)), "{routed}");
-
-    let metrics = ask(r#"{"op":"metrics"}"#);
-    assert_eq!(metrics.get("ok"), Some(&Json::Bool(true)));
-    assert_eq!(metrics.get("op").and_then(Json::as_str), Some("metrics"));
-    let body = metrics.get("body").and_then(Json::as_str).unwrap();
-    check_exposition(body).unwrap();
-    assert!(body.contains("ntr_requests_received_total 1"), "{body}");
-
-    let bye = ask(r#"{"op":"shutdown"}"#);
-    assert_eq!(bye.get("op").and_then(Json::as_str), Some("shutdown"));
-    drop(stdin);
-    assert!(child.wait().unwrap().success());
 }

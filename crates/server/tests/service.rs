@@ -1,9 +1,12 @@
 //! Service-level behavior: caching, deadlines, backpressure, drain.
 
+pub mod common;
+
 use std::sync::mpsc;
 use std::time::Duration;
 
-use ntr_geom::{Layout, NetGenerator, Point};
+use common::random_pins;
+use ntr_geom::Point;
 use ntr_server::json::Json;
 use ntr_server::proto::{Algorithm, OracleKind, RouteRequest};
 use ntr_server::service::{Service, ServiceConfig};
@@ -21,14 +24,6 @@ fn request(pins: Vec<Point>, algorithm: Algorithm, oracle: OracleKind) -> RouteR
         degrade: true,
         candidates: ntr_core::CandidateGen::Exhaustive,
     }
-}
-
-fn random_pins(seed: u64, size: usize) -> Vec<Point> {
-    NetGenerator::new(Layout::date94(), seed)
-        .random_net(size)
-        .unwrap()
-        .pins()
-        .to_vec()
 }
 
 fn route(service: &Service, req: RouteRequest) -> Json {

@@ -2,10 +2,13 @@
 //! reroute → close lifecycle, the structured `session` error, cache
 //! exclusion, and TTL eviction.
 
+pub mod common;
+
 use std::sync::mpsc;
 use std::time::Duration;
 
-use ntr_geom::{Layout, NetGenerator, Point};
+use common::random_pins;
+use ntr_geom::Point;
 use ntr_server::json::Json;
 use ntr_server::proto::{Algorithm, OracleKind, RouteRequest, SessionAction, SessionRequest};
 use ntr_server::service::{Service, ServiceConfig};
@@ -23,14 +26,6 @@ fn request(pins: Vec<Point>) -> RouteRequest {
         degrade: true,
         candidates: ntr_core::CandidateGen::Exhaustive,
     }
-}
-
-fn random_pins(seed: u64, size: usize) -> Vec<Point> {
-    NetGenerator::new(Layout::date94(), seed)
-        .random_net(size)
-        .unwrap()
-        .pins()
-        .to_vec()
 }
 
 fn submit_session(service: &Service, action: SessionAction) -> Json {

@@ -314,19 +314,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut t = TripletMatrix::new(n, n);
         let mut row_sum = vec![0.0; n];
-        for i in 0..n {
+        for (i, sum) in row_sum.iter_mut().enumerate() {
             for j in 0..n {
                 if i != j && rng.gen_bool(density) {
                     let v: f64 = rng.gen_range(-1.0..1.0);
                     if v != 0.0 {
                         t.push(i, j, v);
-                        row_sum[i] += v.abs();
+                        *sum += v.abs();
                     }
                 }
             }
         }
-        for i in 0..n {
-            t.push(i, i, row_sum[i] + 1.0 + rng.gen_range(0.0..1.0));
+        for (i, sum) in row_sum.iter().enumerate() {
+            t.push(i, i, sum + 1.0 + rng.gen_range(0.0..1.0));
         }
         t
     }
