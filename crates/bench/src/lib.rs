@@ -16,8 +16,8 @@
 //! - [`workloads`] — the registry of named deterministic workloads,
 //! - [`stats`] — median / MAD / bootstrap-CI summaries,
 //! - [`artifact`] — `BENCH_<workload>.json` and trajectory-file I/O,
-//! - [`compare`] — the baseline regression detector behind `--gate`,
-//!   built on the shared [`ntr_obs::compare`] verdict rule.
+//! - [`compare`] — the baseline regression detector behind `--gate`:
+//!   the threshold + CI-overlap verdict rule and the artifact pairing.
 
 use ntr_eval::EvalConfig;
 use ntr_geom::{Layout, Net, NetGenerator};

@@ -7,9 +7,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use ntr_bench::artifact::write_artifact;
-use ntr_bench::compare::{compare, DEFAULT_THRESHOLD_PCT};
+use ntr_bench::compare::{compare, Verdict, DEFAULT_THRESHOLD_PCT};
 use ntr_bench::stats::{bootstrap_ci_median, summarize, Summary};
-use ntr_obs::compare::Verdict;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

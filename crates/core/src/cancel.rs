@@ -43,7 +43,7 @@ impl std::error::Error for Cancelled {}
 /// A cheap, cloneable cancellation handle.
 ///
 /// Clones share the same underlying flag: cancelling any clone cancels
-/// them all. See the [module docs](self) for the two trip conditions.
+/// them all. See the module docs of `cancel.rs` for the two trip conditions.
 ///
 /// # Examples
 ///

@@ -109,8 +109,8 @@ impl FaultScope {
     }
 }
 
-/// A parsed, seedable fault schedule. See the [module docs](self) for the
-/// grammar. Shared behind an [`Arc`]; all state is atomic.
+/// A parsed, seedable fault schedule. See the module docs of `faults.rs`
+/// for the grammar. Shared behind an [`Arc`]; all state is atomic.
 #[derive(Debug)]
 pub struct FaultPlan {
     source: String,
@@ -150,7 +150,7 @@ fn parse_millis(s: &str, clause: &str) -> Result<Duration, String> {
 }
 
 impl FaultPlan {
-    /// Parses a plan from the grammar in the [module docs](self).
+    /// Parses a plan from the grammar in the module docs of `faults.rs`.
     ///
     /// # Errors
     ///

@@ -236,8 +236,8 @@ enum Ladder {
     Scratch,
 }
 
-/// A stateful incremental rerouting session over one net. See the
-/// [module docs](self) for the decision ladder and equivalence contract.
+/// A stateful incremental rerouting session over one net. See the module
+/// docs of `session.rs` for the decision ladder and equivalence contract.
 pub struct RoutingSession {
     algorithm: Algorithm,
     budget: Budget,
@@ -430,8 +430,8 @@ impl RoutingSession {
     }
 
     /// Routes the mutated net, choosing the cheapest rung of the
-    /// decision ladder that is still exact (see the [module
-    /// docs](self)). The chosen rung is reported so callers (and the
+    /// decision ladder that is still exact (see the module docs of
+    /// `session.rs`). The chosen rung is reported so callers (and the
     /// serving telemetry) can see what the session actually paid.
     ///
     /// # Errors

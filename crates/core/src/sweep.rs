@@ -206,7 +206,7 @@ const MIN_CANDIDATES_PER_WORKER: usize = 4;
 ///
 /// Chunking adapts to both the pool size and the sweep size: the list is
 /// split evenly over at most `parallelism` workers, but never into chunks
-/// smaller than [`MIN_CANDIDATES_PER_WORKER`] — a sweep over a handful of
+/// smaller than `MIN_CANDIDATES_PER_WORKER` — a sweep over a handful of
 /// candidates stays serial instead of paying thread hand-off latency.
 ///
 /// Returns one objective score per candidate, **in candidate order** —

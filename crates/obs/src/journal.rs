@@ -351,7 +351,10 @@ pub struct RingStats {
 /// another writer lapped onto the same slot, or a snapshot is reading
 /// it — drops the event rather than spinning, so the hot path never
 /// waits on anything. Snapshots claim slots the same way, cloning what
-/// they find; a slot mid-write is simply skipped.
+/// they find; a slot mid-write is simply skipped. It is indexed by
+/// ticket rather than by time, and never waits on a lock, which is why
+/// it is not the time-bucketed `StampedRing` of the TSDB and the
+/// windowed histogram.
 pub struct Ring<T> {
     slots: Box<[Slot<T>]>,
     next: AtomicU64,

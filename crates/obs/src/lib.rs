@@ -12,13 +12,13 @@
 //!   through the [`log_error!`](crate::log_error) …
 //!   [`log_trace!`](crate::log_trace) macros. A disabled level costs one
 //!   `Ordering::Relaxed` atomic load.
-//! - [`span`] — span-based tracing: a thread-local span stack with
+//! - [`span`](mod@span) — span-based tracing: a thread-local span stack with
 //!   monotonic timestamps and per-request trace ids. Disabled tracing
 //!   (the default) costs one relaxed atomic load per span site.
 //! - [`metrics`] — named [`Counter`](metrics::Counter)s,
 //!   [`Gauge`](metrics::Gauge)s, and power-of-two-bucket
 //!   [`Histogram`](metrics::Histogram)s collected in a
-//!   [`MetricsRegistry`](metrics::MetricsRegistry).
+//!   [`MetricsRegistry`].
 //! - [`prometheus`] — renders a registry in Prometheus text exposition
 //!   format, plus [`check_exposition`](prometheus::check_exposition), a
 //!   tiny format checker shared by unit tests and the CI smoke gate.
@@ -29,9 +29,6 @@
 //!   call tree, exported as flamegraph folded stacks or a top-N
 //!   self-time table (`route --profile-out`, the server's
 //!   `{"op":"profile"}`).
-//! - [`compare`] — statistical verdicts (regressed / improved /
-//!   unchanged) over summarized measurements: the primitive behind the
-//!   `ntr-bench` regression gate.
 //! - [`journal`] — the flight recorder: an always-on wait-free ring of
 //!   wide per-request events and per-LDRG-iteration records, plus
 //!   tail-sampled full-trace exemplars (slowest-K + every
@@ -44,11 +41,11 @@
 //!   rendered as `/statusz` sparklines.
 //! - [`slo`] — declarative latency/availability SLOs evaluated with
 //!   multi-window burn-rate rules (fire iff fast *and* slow windows
-//!   burn hot, clear with hysteresis), edge-counted so chaos tests can
-//!   assert exact fire→clear cycles.
+//!   burn hot, clear with hysteresis) over their own [`tsdb`] series,
+//!   edge-counted so chaos tests can assert exact fire→clear cycles.
 //! - [`sampler`] — the always-on sampling profiler: a background thread
 //!   reads every live span stack (a seqlock-protected view maintained
-//!   by [`span`]) at a fixed rate and aggregates the paths into the
+//!   by [`span`](mod@span)) at a fixed rate and aggregates the paths into the
 //!   [`profile`] machinery (`GET /profilez`, `route
 //!   --sample-profile-out`).
 //!
@@ -77,13 +74,13 @@
 //! ```
 
 pub mod chrome;
-pub mod compare;
 pub mod journal;
 pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod profile;
 pub mod prometheus;
+mod ring;
 pub mod sampler;
 pub mod slo;
 pub mod span;

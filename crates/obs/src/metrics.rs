@@ -15,6 +15,11 @@
 //! plenty for spotting queueing collapse, which moves latencies by
 //! orders of magnitude.
 //!
+//! [`WindowedHistogram`] keeps histograms per time window in a
+//! stamped-slot ring (the crate's one ring type, shared with the
+//! TSDB tiers) behind a mutex, for percentiles over the last minute
+//! rather than since boot.
+//!
 //! [`prometheus::render`](crate::prometheus::render) turns a registry
 //! snapshot into text exposition format.
 
@@ -23,6 +28,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use crate::json::Json;
+use crate::ring::StampedRing;
 
 /// A monotonically increasing count.
 #[derive(Debug, Default)]
@@ -213,49 +219,24 @@ impl Histogram {
     }
 }
 
-impl Histogram {
-    /// Clears every bucket and the count/sum. Used by
-    /// [`WindowedHistogram`] rotation; concurrent `record` calls during
-    /// a reset may land in either generation, which rotation tolerates.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_micros.store(0, Ordering::Relaxed);
-    }
-}
-
 /// A ring of [`Histogram`] windows giving *sliding-window* percentiles:
 /// `p50/p99` over the last `windows × window_len`, not since boot.
 ///
 /// Time is divided into consecutive window indices (`elapsed /
-/// window_len`); index `i` lands in slot `i % windows`. Each slot
-/// remembers which index it holds via a stamp (`index + 1`, 0 = never
-/// used). The first recorder to reach a slot whose stamp is behind CAS
-/// es the stamp forward and resets the slot — so expired samples vanish
-/// exactly one lap later, with no background thread. A reader merges
-/// every slot whose stamp is within the live lap into one summary
-/// histogram.
-///
-/// Samples racing a rotation (recorded in the instant between the stamp
-/// CAS and the reset) can be lost or double-counted; the error is
-/// bounded by the number of in-flight recorders at the rotation tick,
-/// which is noise at dashboard resolution. The `*_at` entry points take
-/// an explicit window index instead of the clock, making the rotation
+/// window_len`), held in a stamped-slot ring behind one mutex: the
+/// first sample of a new window clears the slot of the window one lap
+/// older, so expired samples vanish exactly one lap later with no
+/// background thread, and a reader merges the windows of the live lap
+/// into one summary histogram. Rotation happens under the lock, so no
+/// sample is lost or counted twice. The `*_at` entry points take an
+/// explicit window index instead of the clock, making the rotation
 /// logic deterministic for the property tests.
 #[derive(Debug)]
 pub struct WindowedHistogram {
-    slots: Box<[WindowSlot]>,
+    ring: Mutex<StampedRing<Histogram>>,
+    windows: usize,
     window_len: Duration,
     epoch: std::time::Instant,
-}
-
-#[derive(Debug)]
-struct WindowSlot {
-    /// Window index + 1 currently held; 0 = never used.
-    stamp: AtomicU64,
-    hist: Histogram,
 }
 
 impl WindowedHistogram {
@@ -264,12 +245,8 @@ impl WindowedHistogram {
     #[must_use]
     pub fn new(windows: usize, window_len: Duration) -> Self {
         Self {
-            slots: (0..windows.max(1))
-                .map(|_| WindowSlot {
-                    stamp: AtomicU64::new(0),
-                    hist: Histogram::default(),
-                })
-                .collect(),
+            ring: Mutex::new(StampedRing::new(windows)),
+            windows: windows.max(1),
             window_len: window_len.max(Duration::from_millis(1)),
             epoch: std::time::Instant::now(),
         }
@@ -278,7 +255,7 @@ impl WindowedHistogram {
     /// Number of windows in the ring.
     #[must_use]
     pub fn windows(&self) -> usize {
-        self.slots.len()
+        self.windows
     }
 
     /// The window index the clock is currently in.
@@ -299,30 +276,12 @@ impl WindowedHistogram {
 
     /// Records one sample into window `index` (deterministic entry
     /// point; production uses [`record_micros`](Self::record_micros)).
+    /// A sample a full lap behind the clock has expired and is dropped.
     pub fn record_micros_at(&self, index: u64, micros: u64) {
-        let slot = &self.slots[(index % self.slots.len() as u64) as usize];
-        let want = index + 1;
-        loop {
-            let stamp = slot.stamp.load(Ordering::Acquire);
-            if stamp == want {
-                break;
-            }
-            if stamp > want {
-                // This recorder is a full lap behind the clock; its
-                // window has already expired. Drop the sample.
-                return;
-            }
-            if slot
-                .stamp
-                .compare_exchange(stamp, want, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // This thread rotated the slot: clear the expired lap.
-                slot.hist.reset();
-                break;
-            }
+        let mut ring = self.ring.lock().expect("windowed histogram poisoned");
+        if let Some(hist) = ring.slot_mut(index) {
+            hist.record_micros(micros);
         }
-        slot.hist.record_micros(micros);
     }
 
     /// Merge of every live window as of the clock's current index.
@@ -331,19 +290,15 @@ impl WindowedHistogram {
         self.sliding_at(self.current_index())
     }
 
-    /// Merge of every window still live at `index`: stamps in
-    /// `(index + 1 - windows, index + 1]`. Older stamps are expired and
+    /// Merge of every window still live at `index`: windows in
+    /// `(index - windows, index]`. Older windows are expired and
     /// excluded — the property tests pin this down.
     #[must_use]
     pub fn sliding_at(&self, index: u64) -> Histogram {
         let merged = Histogram::default();
-        let newest = index + 1;
-        let oldest = newest.saturating_sub(self.slots.len() as u64 - 1);
-        for slot in &self.slots {
-            let stamp = slot.stamp.load(Ordering::Acquire);
-            if stamp >= oldest && stamp <= newest {
-                merged.merge(&slot.hist);
-            }
+        let ring = self.ring.lock().expect("windowed histogram poisoned");
+        for (_, hist) in ring.live(index) {
+            merged.merge(hist);
         }
         merged
     }
@@ -565,7 +520,9 @@ mod tests {
         w.record_micros_at(1, 200);
         w.record_micros_at(2, 400);
         assert_eq!(w.sliding_at(2).count(), 3);
-        // Window 0 expires at index 3 (ring of 3: live = {1, 2, 3}).
+        // Window 0 expires at index 3 (ring of 3: live = {1, 2, 3}),
+        // even before anything is recorded into window 3.
+        assert_eq!(w.sliding_at(3).count(), 2);
         w.record_micros_at(3, 800);
         assert_eq!(w.sliding_at(3).count(), 3);
         assert_eq!(w.sliding_at(3).sum_micros(), 200 + 400 + 800);

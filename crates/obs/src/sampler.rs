@@ -2,7 +2,7 @@
 //! every registered [`LiveStack`](crate::span::LiveStack) at a fixed
 //! rate and aggregates the observed call paths.
 //!
-//! Span tracing ([`crate::span`]) answers "what happened to *this*
+//! Span tracing ([`crate::span`](mod@crate::span)) answers "what happened to *this*
 //! request" but costs a clock read and a record per span — too much to
 //! leave on for every request forever. The sampler inverts the deal:
 //! span sites pay only a live-stack push/pop (a few uncontended atomic
@@ -16,7 +16,7 @@
 //! One process-global sampler matches the one process-global span
 //! state: [`start`] is idempotent, [`stop`] joins the thread and turns
 //! live-stack maintenance off again. [`profile`] converts the
-//! aggregate into the existing [`Profile`](crate::profile::Profile)
+//! aggregate into the existing [`Profile`]
 //! tree (nanoseconds = samples × period), so
 //! [`folded_stacks`](crate::profile::folded_stacks) and
 //! [`top_self`](crate::profile::top_self) work unchanged — the server's
@@ -37,7 +37,7 @@ use crate::span;
 pub const DEFAULT_HZ: u32 = 97;
 
 /// Cap on distinct call paths retained; beyond it new paths are counted
-/// in [`paths_dropped`] instead of growing memory.
+/// in `paths_dropped` instead of growing memory.
 pub const MAX_PATHS: usize = 4096;
 
 #[derive(Default)]

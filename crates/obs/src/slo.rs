@@ -9,14 +9,24 @@
 //! times over. Following the Google SRE workbook, an alert fires
 //! only when *both* a fast window (seconds–minutes, for reaction
 //! time) and a slow window (the guard against one bad second paging
-//! a human) exceed the threshold, and clears with hysteresis once
-//! both fall below a lower one — so a firing alert cannot flap on
-//! the boundary.
+//! a human) reach [`FIRE_BURN`], and clears with hysteresis once both
+//! fall below [`CLEAR_BURN`] — so a firing alert cannot flap on the
+//! boundary.
 //!
-//! Everything is deterministic under test: outcomes land in
-//! per-second stamped ring buckets and the whole engine is driven
-//! through `*_at(now_secs)` entry points; production wrappers derive
-//! `now_secs` from a process epoch. Transitions are edge-counted
+//! The engine stores no outcomes of its own. Every answered request
+//! records one sample per SLO into the service's [`Tsdb`], in the
+//! series `ntr_slo_good_<slug>`: 1.0 if good, 0.0 if bad, so a bucket's
+//! `count` is the requests and its `sum` the good ones. A window of W
+//! seconds sums the finest tier whose span covers W, counting the
+//! buckets that start in `(now − W, now]`. With the default tiers,
+//! windows up to 5 min read exact 1 s buckets, up to 1 h 10 s buckets,
+//! and up to 6 h 60 s buckets; longer windows are rejected at parse
+//! time ([`MAX_WINDOW_SECS`]). SLO memory is one fixed-size TSDB
+//! series per objective, whatever the window.
+//!
+//! Everything is deterministic under test: the whole engine is driven
+//! through `*_at(now_secs)` entry points; production wrappers read
+//! `now_secs` from the TSDB's clock. Transitions are edge-counted
 //! (`fired_total` / `cleared_total`), which is what lets the chaos
 //! gate assert an *exact* fire→clear cycle rather than sampling a
 //! racy boolean.
@@ -30,16 +40,31 @@
 //! ```
 //!
 //! Durations take `s`/`m`/`h` suffixes, latency thresholds
-//! `us`/`ms`/`s`; `OBJECTIVE` is a percentage. Omitted windows
-//! default to fast = window/60 and slow = window/12 (the workbook's
-//! 1 h → 1 m / 5 m shape), floored at one second.
+//! `us`/`ms`/`s`; `OBJECTIVE` is a percentage and `WINDOW` at most 6 h.
+//! Omitted windows default to fast = window/60 and slow = window/12
+//! (the workbook's 1 h → 1 m / 5 m shape), floored at one second.
 
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::Json;
 use crate::metrics::{Gauge, MetricsRegistry};
+use crate::tsdb::{Tsdb, DEFAULT_RESOLUTIONS};
 use crate::{log_info, log_warn};
+
+/// Burn rate at or above which both windows must sit for an alert to
+/// fire: the workbook's page-worthy rule, a month of budget in ~3 days.
+pub const FIRE_BURN: f64 = 10.0;
+
+/// Burn rate below which both windows must fall for a firing alert to
+/// clear: half the fire rate, so the boundary cannot flap.
+pub const CLEAR_BURN: f64 = 5.0;
+
+/// Longest budget window: the span of the default TSDB's coarsest tier
+/// (60 s × 360 = 6 h). The store keeps nothing older to sum.
+pub const MAX_WINDOW_SECS: u64 = {
+    let coarsest = DEFAULT_RESOLUTIONS[DEFAULT_RESOLUTIONS.len() - 1];
+    coarsest.period_secs * coarsest.slots as u64
+};
 
 /// What a request must do to count as "good".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,60 +96,28 @@ pub struct SloSpec {
     pub slow_secs: u64,
 }
 
-/// Fire/clear thresholds on the burn rate. Firing requires *both*
-/// windows above `fire`; clearing requires both below `clear` —
-/// hysteresis, so the boundary cannot flap.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BurnRule {
-    /// Burn rate at or above which both windows must sit to fire.
-    pub fire: f64,
-    /// Burn rate below which both windows must fall to clear.
-    pub clear: f64,
-}
-
-impl Default for BurnRule {
-    /// The workbook's page-worthy rule: burning a month of budget in
-    /// ~3 days (rate 10), clearing at half that.
-    fn default() -> Self {
-        Self {
-            fire: 10.0,
-            clear: 5.0,
-        }
+/// A positive integer followed by the first matching suffix of
+/// `units`, scaled by its multiplier. List "us" and "ms" before "s",
+/// which ends both, and end with the bare-number unit `""`.
+fn parse_scaled(s: &str, units: &[(&str, u64)], unit: &str) -> Result<u64, String> {
+    let (num, mult) = units
+        .iter()
+        .find_map(|&(suffix, mult)| Some((s.strip_suffix(suffix)?, mult)))
+        .expect("the last unit has an empty suffix");
+    match num.parse::<u64>() {
+        Ok(n) if n > 0 => n
+            .checked_mul(mult)
+            .ok_or_else(|| format!("{s:?} overflows the u64 limit of {} {unit}", u64::MAX)),
+        _ => Err(format!("unparseable {s:?}")),
     }
-}
-
-fn parse_duration_secs(s: &str) -> Option<u64> {
-    let (num, mult) = match s.strip_suffix('h') {
-        Some(n) => (n, 3600),
-        None => match s.strip_suffix('m') {
-            Some(n) => (n, 60),
-            None => (s.strip_suffix('s').unwrap_or(s), 1),
-        },
-    };
-    let n: u64 = num.parse().ok()?;
-    (n > 0).then_some(n * mult)
-}
-
-fn parse_threshold_us(s: &str) -> Option<u64> {
-    // Order matters: "ms" ends in "s", "us" too.
-    if let Some(n) = s.strip_suffix("us") {
-        return n.parse().ok().filter(|&v| v > 0);
-    }
-    if let Some(n) = s.strip_suffix("ms") {
-        return n.parse::<u64>().ok().filter(|&v| v > 0)?.checked_mul(1_000);
-    }
-    let n = s.strip_suffix('s').unwrap_or(s);
-    n.parse::<u64>()
-        .ok()
-        .filter(|&v| v > 0)?
-        .checked_mul(1_000_000)
 }
 
 impl SloSpec {
     /// Parses one spec in the module grammar.
     ///
     /// # Errors
-    /// A description of the offending field.
+    /// A description of the offending field, naming the limit when a
+    /// duration overflows or the window exceeds [`MAX_WINDOW_SECS`].
     pub fn parse(spec: &str) -> Result<Self, String> {
         let spec = spec.trim();
         let (name, body) = match spec.split_once('=') {
@@ -134,65 +127,53 @@ impl SloSpec {
         };
         let parts: Vec<&str> = body.split(':').collect();
         let err = |what: &str| format!("{what} in SLO spec {spec:?}");
-        let objective = |s: &str| -> Result<f64, String> {
-            let pct: f64 = s.parse().map_err(|_| err("unparseable objective"))?;
-            if pct <= 0.0 || pct >= 100.0 {
-                return Err(err("objective must be in (0, 100)"));
-            }
-            Ok(pct)
+        let duration = |s: &str, what: &str| {
+            parse_scaled(s, &[("h", 3600), ("m", 60), ("s", 1), ("", 1)], "s")
+                .map_err(|e| err(&format!("{what}: {e}")))
         };
-        let windows = |rest: &[&str], window: u64| -> Result<(u64, u64), String> {
-            let fast = match rest.first() {
-                Some(s) => parse_duration_secs(s).ok_or_else(|| err("unparseable fast window"))?,
-                None => (window / 60).max(1),
-            };
-            let slow = match rest.get(1) {
-                Some(s) => parse_duration_secs(s).ok_or_else(|| err("unparseable slow window"))?,
-                None => (window / 12).max(1),
-            };
-            if fast > slow || slow > window {
-                return Err(err("windows must satisfy fast <= slow <= window"));
+        // The leading `head` fields (kind, objective, latency threshold)
+        // form the default name; the window follows them.
+        let (kind, head) = match parts.as_slice() {
+            ["availability", _, _, rest @ ..] if rest.len() <= 2 => (SloKind::Availability, 2),
+            ["latency", _, threshold, _, rest @ ..] if rest.len() <= 2 => {
+                let units = [("us", 1), ("ms", 1_000), ("s", 1_000_000), ("", 1_000_000)];
+                let threshold_us = parse_scaled(threshold, &units, "us")
+                    .map_err(|e| err(&format!("threshold: {e}")))?;
+                (SloKind::Latency { threshold_us }, 3)
             }
-            Ok((fast, slow))
+            _ => {
+                return Err(err(
+                    "expected availability:OBJ:WINDOW or latency:OBJ:THRESHOLD:WINDOW",
+                ))
+            }
         };
-        let (kind, objective_pct, window_secs, fast_secs, slow_secs, default_name) =
-            match parts.as_slice() {
-                ["availability", obj, window, rest @ ..] if rest.len() <= 2 => {
-                    let pct = objective(obj)?;
-                    let w = parse_duration_secs(window).ok_or_else(|| err("unparseable window"))?;
-                    let (fast, slow) = windows(rest, w)?;
-                    (
-                        SloKind::Availability,
-                        pct,
-                        w,
-                        fast,
-                        slow,
-                        format!("availability-{obj}"),
-                    )
-                }
-                ["latency", obj, threshold, window, rest @ ..] if rest.len() <= 2 => {
-                    let pct = objective(obj)?;
-                    let threshold_us = parse_threshold_us(threshold)
-                        .ok_or_else(|| err("unparseable threshold"))?;
-                    let w = parse_duration_secs(window).ok_or_else(|| err("unparseable window"))?;
-                    let (fast, slow) = windows(rest, w)?;
-                    (
-                        SloKind::Latency { threshold_us },
-                        pct,
-                        w,
-                        fast,
-                        slow,
-                        format!("latency-{obj}-{threshold}"),
-                    )
-                }
-                _ => {
-                    return Err(err(
-                        "expected availability:OBJ:WINDOW or latency:OBJ:THRESHOLD:WINDOW",
-                    ))
-                }
-            };
+        let (objective, window, rest) = (parts[1], parts[head], &parts[head + 1..]);
+        let objective_pct: f64 = objective
+            .parse()
+            .map_err(|_| err("unparseable objective"))?;
+        if !(objective_pct > 0.0 && objective_pct < 100.0) {
+            return Err(err("objective must be in (0, 100)"));
+        }
+        let window_secs = duration(window, "window")?;
+        if window_secs > MAX_WINDOW_SECS {
+            return Err(err(&format!(
+                "window {window} exceeds the {}h ({MAX_WINDOW_SECS} s) TSDB retention",
+                MAX_WINDOW_SECS / 3600
+            )));
+        }
+        let fast_secs = match rest.first() {
+            Some(s) => duration(s, "fast window")?,
+            None => (window_secs / 60).max(1),
+        };
+        let slow_secs = match rest.get(1) {
+            Some(s) => duration(s, "slow window")?,
+            None => (window_secs / 12).max(1),
+        };
+        if fast_secs > slow_secs || slow_secs > window_secs {
+            return Err(err("windows must satisfy fast <= slow <= window"));
+        }
         Ok(Self {
-            name: name.unwrap_or(default_name),
+            name: name.unwrap_or_else(|| parts[..head].join("-")),
             kind,
             objective_pct,
             window_secs,
@@ -204,13 +185,17 @@ impl SloSpec {
     /// Parses a `;`-separated list (empty segments skipped).
     ///
     /// # Errors
-    /// The first segment that fails [`parse`](Self::parse).
+    /// The first segment that fails [`parse`](Self::parse), or two
+    /// specs that [`check_unique_slugs`] rejects.
     pub fn parse_list(list: &str) -> Result<Vec<Self>, String> {
-        list.split(';')
+        let specs = list
+            .split(';')
             .map(str::trim)
             .filter(|s| !s.is_empty())
             .map(Self::parse)
-            .collect()
+            .collect::<Result<Vec<_>, _>>()?;
+        check_unique_slugs(&specs)?;
+        Ok(specs)
     }
 
     /// Metric-name-safe version of the SLO name.
@@ -223,73 +208,29 @@ impl SloSpec {
     }
 }
 
+/// Rejects two SLOs whose names slug alike (`a-b` and `a.b`): they
+/// would share one burn-rate gauge and mix their requests in one TSDB
+/// series.
+///
+/// # Errors
+/// Names the second SLO and the slug it repeats.
+pub fn check_unique_slugs(specs: &[SloSpec]) -> Result<(), String> {
+    let mut seen = std::collections::HashSet::new();
+    match specs.iter().find(|spec| !seen.insert(spec.slug())) {
+        Some(dup) => Err(format!(
+            "SLO {:?} repeats the metric slug {:?} of an earlier SLO",
+            dup.name,
+            dup.slug()
+        )),
+        None => Ok(()),
+    }
+}
+
 /// The objectives a server runs with unless configured otherwise.
 #[must_use]
 pub fn default_slos() -> Vec<SloSpec> {
     SloSpec::parse_list("latency:99:50ms:1h;availability:99.9:1h")
         .expect("the built-in SLO list must parse")
-}
-
-#[derive(Clone, Copy, Default)]
-struct Bucket {
-    /// Second index + 1; 0 = never written.
-    stamp: u64,
-    good: u64,
-    total: u64,
-}
-
-struct SloState {
-    spec: SloSpec,
-    /// One bucket per second, ring of `window_secs`.
-    buckets: Vec<Bucket>,
-    firing: bool,
-    fired_total: u64,
-    cleared_total: u64,
-    last_fast_burn: f64,
-    last_slow_burn: f64,
-    burn_gauge: Option<std::sync::Arc<Gauge>>,
-}
-
-impl SloState {
-    fn record(&mut self, now_secs: u64, good: bool) {
-        let idx = (now_secs % self.buckets.len() as u64) as usize;
-        let bucket = &mut self.buckets[idx];
-        if bucket.stamp != now_secs + 1 {
-            *bucket = Bucket {
-                stamp: now_secs + 1,
-                good: 0,
-                total: 0,
-            };
-        }
-        bucket.total += 1;
-        bucket.good += u64::from(good);
-    }
-
-    /// (good, total) over the trailing `window` seconds ending at
-    /// `now_secs` inclusive.
-    fn window_counts(&self, now_secs: u64, window: u64) -> (u64, u64) {
-        let oldest = (now_secs + 1).saturating_sub(window);
-        let (mut good, mut total) = (0, 0);
-        for b in &self.buckets {
-            if b.stamp > oldest && b.stamp <= now_secs + 1 {
-                good += b.good;
-                total += b.total;
-            }
-        }
-        (good, total)
-    }
-
-    /// Burn rate over a window: bad-fraction divided by the budget
-    /// fraction `1 - objective`. 0.0 with no traffic.
-    fn burn_rate(&self, now_secs: u64, window: u64) -> f64 {
-        let (good, total) = self.window_counts(now_secs, window);
-        if total == 0 {
-            return 0.0;
-        }
-        let bad_frac = (total - good) as f64 / total as f64;
-        let budget = 1.0 - self.spec.objective_pct / 100.0;
-        bad_frac / budget
-    }
 }
 
 /// Transition edges produced by one [`SloEngine::evaluate_at`] pass.
@@ -328,159 +269,150 @@ pub struct AlertSnapshot {
     pub total: u64,
 }
 
-/// Evaluates a set of SLOs over a stream of request outcomes.
+/// Evaluates a set of SLOs over the request outcomes it records into a
+/// [`Tsdb`].
 pub struct SloEngine {
-    rule: BurnRule,
-    states: Mutex<Vec<SloState>>,
-    firing_gauge: Mutex<Option<std::sync::Arc<Gauge>>>,
-    epoch: Instant,
+    tsdb: Arc<Tsdb>,
+    /// Each objective's `ntr_slo_good_<slug>` series, and the objective.
+    slos: Vec<(String, SloSpec)>,
+    /// Each objective's alert as of the last evaluation (`good` and
+    /// `total` are filled in per snapshot).
+    alerts: Mutex<Vec<AlertSnapshot>>,
+    /// Each objective's burn-rate gauge, then `ntr_alerts_firing`.
+    gauges: OnceLock<(Vec<Arc<Gauge>>, Arc<Gauge>)>,
 }
 
 impl SloEngine {
-    /// Builds an engine over `specs` with the given burn rule.
+    /// Builds an engine over `specs` that records outcomes into `tsdb`
+    /// and reads its burn rates back from it.
     #[must_use]
-    pub fn new(specs: Vec<SloSpec>, rule: BurnRule) -> Self {
-        let states = specs
+    pub fn new(specs: Vec<SloSpec>, tsdb: Arc<Tsdb>) -> Self {
+        let (slos, alerts) = specs
             .into_iter()
-            .map(|spec| SloState {
-                buckets: vec![Bucket::default(); spec.window_secs.max(1) as usize],
-                spec,
-                firing: false,
-                fired_total: 0,
-                cleared_total: 0,
-                last_fast_burn: 0.0,
-                last_slow_burn: 0.0,
-                burn_gauge: None,
+            .map(|spec| {
+                let alert = AlertSnapshot {
+                    name: spec.name.clone(),
+                    kind: spec.kind,
+                    objective_pct: spec.objective_pct,
+                    window_secs: spec.window_secs,
+                    fast_burn: 0.0,
+                    slow_burn: 0.0,
+                    firing: false,
+                    fired_total: 0,
+                    cleared_total: 0,
+                    good: 0,
+                    total: 0,
+                };
+                ((format!("ntr_slo_good_{}", spec.slug()), spec), alert)
             })
-            .collect();
+            .unzip();
         Self {
-            rule,
-            states: Mutex::new(states),
-            firing_gauge: Mutex::new(None),
-            epoch: Instant::now(),
+            tsdb,
+            slos,
+            alerts: Mutex::new(alerts),
+            gauges: OnceLock::new(),
         }
     }
 
     /// Registers `ntr_slo_burn_rate_<slug>` per SLO (fast-window burn,
-    /// rounded) and `ntr_alerts_firing` on `registry`.
+    /// rounded) and `ntr_alerts_firing` on `registry`. Only the first
+    /// registry an engine is given receives the evaluations.
     pub fn register_metrics(&self, registry: &MetricsRegistry) {
-        let mut states = self.states.lock().expect("slo engine poisoned");
-        for state in states.iter_mut() {
-            state.burn_gauge = Some(registry.gauge(
-                &format!("ntr_slo_burn_rate_{}", state.spec.slug()),
+        let burn = self.slos.iter().map(|(_, spec)| {
+            registry.gauge(
+                &format!("ntr_slo_burn_rate_{}", spec.slug()),
                 "fast-window error-budget burn rate of this SLO, rounded to the nearest integer",
-            ));
-        }
-        *self.firing_gauge.lock().expect("slo engine poisoned") = Some(registry.gauge(
+            )
+        });
+        let firing = registry.gauge(
             "ntr_alerts_firing",
             "number of SLO burn-rate alerts currently firing",
-        ));
+        );
+        let _ = self.gauges.set((burn.collect(), firing));
     }
 
-    /// Seconds since the engine was built.
-    #[must_use]
-    pub fn now_secs(&self) -> u64 {
-        self.epoch.elapsed().as_secs()
-    }
-
-    /// Records one request outcome at an explicit second.
+    /// Records one request outcome at an explicit second: one sample
+    /// per SLO into its TSDB series, 1.0 if good and 0.0 if bad.
     pub fn record_at(&self, now_secs: u64, ok: bool, latency_us: u64) {
-        let mut states = self.states.lock().expect("slo engine poisoned");
-        for state in states.iter_mut() {
-            let good = match state.spec.kind {
+        for (series, spec) in &self.slos {
+            let good = match spec.kind {
                 SloKind::Availability => ok,
                 SloKind::Latency { threshold_us } => ok && latency_us <= threshold_us,
             };
-            state.record(now_secs, good);
+            self.tsdb
+                .record_at(series, now_secs, f64::from(u8::from(good)));
         }
     }
 
     /// Production wrapper for [`record_at`](Self::record_at).
     pub fn record(&self, ok: bool, latency_us: u64) {
-        self.record_at(self.now_secs(), ok, latency_us);
+        self.record_at(self.tsdb.now_secs(), ok, latency_us);
     }
 
     /// Re-evaluates every alert at an explicit second, returning the
     /// transition edges (and logging each one).
     pub fn evaluate_at(&self, now_secs: u64) -> Vec<Transition> {
         let mut transitions = Vec::new();
-        let mut firing = 0;
-        let mut states = self.states.lock().expect("slo engine poisoned");
-        for state in states.iter_mut() {
-            let fast = state.burn_rate(now_secs, state.spec.fast_secs);
-            let slow = state.burn_rate(now_secs, state.spec.slow_secs);
-            state.last_fast_burn = fast;
-            state.last_slow_burn = slow;
-            if !state.firing && fast >= self.rule.fire && slow >= self.rule.fire {
-                state.firing = true;
-                state.fired_total += 1;
+        let mut alerts = self.alerts.lock().expect("slo engine poisoned");
+        for (alert, (series, spec)) in alerts.iter_mut().zip(&self.slos) {
+            // Bad fraction over the budget fraction `1 - objective`;
+            // 0.0 with no traffic.
+            let burn = |window| match self.tsdb.window_sum(series, window, now_secs) {
+                (0, _) => 0.0,
+                (total, good) => {
+                    let bad = (total - good as u64) as f64;
+                    bad / total as f64 / (1.0 - spec.objective_pct / 100.0)
+                }
+            };
+            let (fast, slow) = (burn(spec.fast_secs), burn(spec.slow_secs));
+            (alert.fast_burn, alert.slow_burn) = (fast, slow);
+            let name = &spec.name;
+            if !alert.firing && fast >= FIRE_BURN && slow >= FIRE_BURN {
+                alert.firing = true;
+                alert.fired_total += 1;
                 log_warn!(
-                    "SLO alert FIRING: {} burn fast={fast:.1} slow={slow:.1} (threshold {})",
-                    state.spec.name,
-                    self.rule.fire
+                    "SLO alert FIRING: {name} burn fast={fast:.1} slow={slow:.1} (threshold {FIRE_BURN})"
                 );
-                transitions.push(Transition::Fired(state.spec.name.clone()));
-            } else if state.firing && fast < self.rule.clear && slow < self.rule.clear {
-                state.firing = false;
-                state.cleared_total += 1;
+                transitions.push(Transition::Fired(name.clone()));
+            } else if alert.firing && fast < CLEAR_BURN && slow < CLEAR_BURN {
+                alert.firing = false;
+                alert.cleared_total += 1;
                 log_info!(
-                    "SLO alert cleared: {} burn fast={fast:.1} slow={slow:.1} (threshold {})",
-                    state.spec.name,
-                    self.rule.clear
+                    "SLO alert cleared: {name} burn fast={fast:.1} slow={slow:.1} (threshold {CLEAR_BURN})"
                 );
-                transitions.push(Transition::Cleared(state.spec.name.clone()));
-            }
-            firing += i64::from(state.firing);
-            if let Some(gauge) = &state.burn_gauge {
-                gauge.set(fast.round() as i64);
+                transitions.push(Transition::Cleared(name.clone()));
             }
         }
-        if let Some(gauge) = self
-            .firing_gauge
-            .lock()
-            .expect("slo engine poisoned")
-            .as_ref()
-        {
-            gauge.set(firing);
+        if let Some((burn, firing)) = self.gauges.get() {
+            for (gauge, alert) in burn.iter().zip(alerts.iter()) {
+                gauge.set(alert.fast_burn.round() as i64);
+            }
+            firing.set(alerts.iter().filter(|a| a.firing).count() as i64);
         }
         transitions
     }
 
     /// Production wrapper for [`evaluate_at`](Self::evaluate_at).
     pub fn evaluate(&self) -> Vec<Transition> {
-        self.evaluate_at(self.now_secs())
+        self.evaluate_at(self.tsdb.now_secs())
     }
 
     /// Snapshots every alert as of the last evaluation, with window
     /// counts recomputed at `now_secs`.
     #[must_use]
     pub fn snapshot_at(&self, now_secs: u64) -> Vec<AlertSnapshot> {
-        let states = self.states.lock().expect("slo engine poisoned");
-        states
-            .iter()
-            .map(|state| {
-                let (good, total) = state.window_counts(now_secs, state.spec.window_secs);
-                AlertSnapshot {
-                    name: state.spec.name.clone(),
-                    kind: state.spec.kind,
-                    objective_pct: state.spec.objective_pct,
-                    window_secs: state.spec.window_secs,
-                    fast_burn: state.last_fast_burn,
-                    slow_burn: state.last_slow_burn,
-                    firing: state.firing,
-                    fired_total: state.fired_total,
-                    cleared_total: state.cleared_total,
-                    good,
-                    total,
-                }
-            })
-            .collect()
+        let mut alerts = self.alerts.lock().expect("slo engine poisoned").clone();
+        for (alert, (series, spec)) in alerts.iter_mut().zip(&self.slos) {
+            let (total, good) = self.tsdb.window_sum(series, spec.window_secs, now_secs);
+            (alert.good, alert.total) = (good as u64, total);
+        }
+        alerts
     }
 
-    /// [`snapshot_at`](Self::snapshot_at) against the engine's clock.
+    /// [`snapshot_at`](Self::snapshot_at) against the TSDB's clock.
     #[must_use]
     pub fn snapshot(&self) -> Vec<AlertSnapshot> {
-        self.snapshot_at(self.now_secs())
+        self.snapshot_at(self.tsdb.now_secs())
     }
 
     /// The wire answer for `{"op":"alerts"}` and `GET /alertz`.
@@ -522,11 +454,11 @@ impl SloEngine {
         ])
     }
 
-    /// [`alerts_json_at`](Self::alerts_json_at) against the engine's
+    /// [`alerts_json_at`](Self::alerts_json_at) against the TSDB's
     /// clock.
     #[must_use]
     pub fn alerts_json(&self) -> Json {
-        self.alerts_json_at(self.now_secs())
+        self.alerts_json_at(self.tsdb.now_secs())
     }
 }
 
@@ -604,6 +536,7 @@ pub fn check_alerts_json(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tsdb::Tsdb;
 
     fn avail_spec(window: u64, fast: u64, slow: u64) -> SloSpec {
         SloSpec {
@@ -660,14 +593,43 @@ mod tests {
             "latency:99:xx:1h",
             "=availability:99:1h",
             "durations:99:1x",
+            "availability:nan:1h",
+            "availability:99:5124095576030432h", // seconds overflow u64
+            "availability:99:7h",                // beyond the 6 h retention
+            "availability:99:6h:1m:5124095576030432h",
+            "latency:99:18446744073710s:1h", // microseconds overflow u64
         ] {
             assert!(SloSpec::parse(bad).is_err(), "accepted {bad:?}");
         }
     }
 
     #[test]
+    fn windows_stop_at_the_tsdb_retention_and_errors_name_the_limit() {
+        let s = SloSpec::parse("availability:99:6h").unwrap();
+        assert_eq!(s.window_secs, MAX_WINDOW_SECS);
+        assert_eq!(MAX_WINDOW_SECS, 6 * 3600);
+        let long = SloSpec::parse("availability:99:7h").unwrap_err();
+        assert!(long.contains("6h (21600 s)"), "{long}");
+        let huge = SloSpec::parse("availability:99:5124095576030432h").unwrap_err();
+        assert!(huge.contains(&u64::MAX.to_string()), "{huge}");
+    }
+
+    #[test]
+    fn colliding_slugs_are_rejected() {
+        let dup = SloSpec::parse_list("a-b=availability:99:1h;a.b=latency:99:5ms:1h").unwrap_err();
+        assert!(dup.contains("\"a_b\""), "{dup}");
+        let specs = [
+            SloSpec::parse("a-b=availability:99:1h").unwrap(),
+            SloSpec::parse("a.b=availability:99:1h").unwrap(),
+        ];
+        assert!(check_unique_slugs(&specs).is_err());
+        assert!(check_unique_slugs(&specs[..1]).is_ok());
+        assert!(check_unique_slugs(&default_slos()).is_ok());
+    }
+
+    #[test]
     fn burn_rate_is_bad_fraction_over_budget() {
-        let engine = SloEngine::new(vec![avail_spec(60, 5, 20)], BurnRule::default());
+        let engine = SloEngine::new(vec![avail_spec(60, 5, 20)], Arc::default());
         // 10 requests at t=10, 2 bad: bad_frac 0.2, budget 0.01 → burn 20.
         for i in 0..10 {
             engine.record_at(10, i >= 2, 0);
@@ -682,7 +644,7 @@ mod tests {
 
     #[test]
     fn alert_needs_both_windows_to_fire_and_clears_with_hysteresis() {
-        let engine = SloEngine::new(vec![avail_spec(60, 2, 20)], BurnRule::default());
+        let engine = SloEngine::new(vec![avail_spec(60, 2, 20)], Arc::default());
         // Seconds 0..9: healthy traffic fills the slow window.
         for t in 0..10 {
             for _ in 0..10 {
@@ -761,7 +723,7 @@ mod tests {
             fast_secs: 2,
             slow_secs: 4,
         };
-        let engine = SloEngine::new(vec![spec], BurnRule::default());
+        let engine = SloEngine::new(vec![spec], Arc::default());
         engine.record_at(5, true, 500); // good
         engine.record_at(5, true, 1_000); // good (inclusive bound)
         engine.record_at(5, true, 1_001); // bad: too slow
@@ -772,7 +734,7 @@ mod tests {
 
     #[test]
     fn empty_windows_burn_zero_and_old_buckets_expire() {
-        let engine = SloEngine::new(vec![avail_spec(10, 2, 5)], BurnRule::default());
+        let engine = SloEngine::new(vec![avail_spec(10, 2, 5)], Arc::default());
         assert!(engine.evaluate_at(0).is_empty());
         let snap = &engine.snapshot_at(0)[0];
         assert_eq!(snap.total, 0);
@@ -786,7 +748,7 @@ mod tests {
 
     #[test]
     fn alerts_json_validates_and_carries_the_counters() {
-        let engine = SloEngine::new(default_slos(), BurnRule::default());
+        let engine = SloEngine::new(default_slos(), Arc::default());
         engine.record_at(3, true, 10);
         engine.record_at(3, false, 10);
         engine.evaluate_at(3);
@@ -796,10 +758,71 @@ mod tests {
         assert!(check_alerts_json("nope").is_err());
     }
 
+    /// `/alertz` and `/tsdb` agree: an alert's good/total is the
+    /// sum/count of its `ntr_slo_good_<slug>` series over the window,
+    /// and at the 1 s tier also the exact count of recorded requests.
+    #[test]
+    fn alert_counts_are_the_tsdb_series_summed_over_the_window() {
+        let tsdb = Arc::new(Tsdb::default());
+        let engine = SloEngine::new(
+            vec![
+                avail_spec(120, 2, 10),
+                SloSpec {
+                    name: "lat-30m".to_owned(),
+                    kind: SloKind::Latency { threshold_us: 500 },
+                    objective_pct: 99.0,
+                    window_secs: 1800,
+                    fast_secs: 60,
+                    slow_secs: 300,
+                },
+            ],
+            Arc::clone(&tsdb),
+        );
+        let mut requests = Vec::new();
+        for now in 0..2400u64 {
+            for i in 0..now % 4 {
+                let ok = (now + i) % 5 != 0;
+                let latency_us = (now * 37 + i * 101) % 1000;
+                engine.record_at(now, ok, latency_us);
+                requests.push((now, ok, ok && latency_us <= 500));
+            }
+            if ![5, 119, 700, 1799, 2399].contains(&now) {
+                continue;
+            }
+            let snaps = engine.snapshot_at(now);
+            for (snap, series, res) in [
+                (&snaps[0], "ntr_slo_good_test_availability", 1),
+                (&snaps[1], "ntr_slo_good_lat_30m", 10),
+            ] {
+                let window = snap.window_secs;
+                let points = tsdb.query_at(series, res, now).unwrap();
+                let live = points.iter().filter(|p| p.t_secs + window > now);
+                let sum: f64 = live.clone().map(|p| p.sum).sum();
+                let count: u64 = live.map(|p| p.count).sum();
+                assert_eq!(
+                    (snap.good, snap.total),
+                    (sum as u64, count),
+                    "{series} at {now}"
+                );
+                // Buckets that start inside the window hold exactly the
+                // requests recorded in those buckets.
+                let in_window = |t: u64| (t / res) * res + window > now;
+                let good = |r: &&(u64, bool, bool)| if res == 1 { r.1 } else { r.2 };
+                let expected = requests.iter().filter(|r| in_window(r.0));
+                let want_good = expected.clone().filter(good).count() as u64;
+                assert_eq!(
+                    (snap.good, snap.total),
+                    (want_good, expected.count() as u64),
+                    "{series} at {now}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn registered_gauges_track_evaluation() {
         let registry = MetricsRegistry::new();
-        let engine = SloEngine::new(vec![avail_spec(60, 2, 10)], BurnRule::default());
+        let engine = SloEngine::new(vec![avail_spec(60, 2, 10)], Arc::default());
         engine.register_metrics(&registry);
         for t in 0..12 {
             for _ in 0..10 {

@@ -29,7 +29,7 @@
 //! thread-locally (capped at [`MAX_CAPTURED_SPANS`]), independent of
 //! the global switch. The journal's tail-sampled exemplars are built
 //! from these buffers. All switches fold into one atomic word
-//! ([`STATE`]: bit 0 = global, bit 1 = sampling profiler, upper bits =
+//! (`STATE`: bit 0 = global, bit 1 = sampling profiler, upper bits =
 //! live capture guards), so the fully-disabled fast path is still
 //! exactly one relaxed load.
 //!

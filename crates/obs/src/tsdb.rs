@@ -7,12 +7,11 @@
 //!
 //! 1. **Fixed memory.** Every series owns one ring per
 //!    [`Resolution`] — by default 1 s × 300, 10 s × 360, 60 s × 360
-//!    (5 min raw, 1 h mid, 6 h coarse). Slots are stamped with their
-//!    bucket index (+1, so 0 means never written); a lapped slot is
-//!    simply overwritten, and a query treats any slot whose stamp
-//!    falls outside the live window as absent — the same
-//!    stamped-slot idiom as
-//!    [`WindowedHistogram`](crate::metrics::WindowedHistogram).
+//!    (5 min raw, 1 h mid, 6 h coarse). The rings are the crate's
+//!    stamped-slot ring, the same type
+//!    [`WindowedHistogram`](crate::metrics::WindowedHistogram) keeps
+//!    its windows in: a lapped slot is overwritten in place, and a
+//!    query treats any slot stamped outside the live window as absent.
 //! 2. **Rollups that can't drift.** Each sample is recorded into
 //!    *all* resolutions directly; a 10 s bucket is the aggregate
 //!    (count/sum/min/max/last) of the raw samples in its span by
@@ -26,7 +25,10 @@
 //! (counters and gauges as their value; histograms as `<name>_p50` /
 //! `<name>_p99` in microseconds), serves queries via
 //! `{"op":"query"}` / `GET /tsdb?metric=...&res=...`, and renders
-//! [`sparkline_svg`] strips on `/statusz`.
+//! [`sparkline_svg`] strips on `/statusz`. The SLO engine
+//! ([`crate::slo`]) records every answered request into the same store,
+//! one `ntr_slo_good_<slug>` series per objective, and reads its burn
+//! rates back from it.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -34,6 +36,7 @@ use std::time::Instant;
 
 use crate::json::Json;
 use crate::metrics::{Metric, MetricsRegistry};
+use crate::ring::StampedRing;
 
 /// One retention tier: `slots` buckets of `period_secs` each.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,11 +83,10 @@ pub struct Point {
     pub last: f64,
 }
 
-#[derive(Clone, Copy, Default)]
-struct Slot {
-    /// Bucket index + 1; 0 = never written. A stale stamp (outside the
-    /// ring's live window at query time) reads as absent.
-    stamp: u64,
+/// One bucket of a tier: a [`Point`] without its start, which the
+/// ring's stamp already holds.
+#[derive(Default)]
+struct Bucket {
     count: u64,
     sum: f64,
     min: f64,
@@ -92,71 +94,10 @@ struct Slot {
     last: f64,
 }
 
-struct Ring {
-    period_secs: u64,
-    slots: Vec<Slot>,
-}
-
-impl Ring {
-    fn new(res: Resolution) -> Self {
-        Self {
-            period_secs: res.period_secs,
-            slots: vec![Slot::default(); res.slots.max(1)],
-        }
-    }
-
-    fn record(&mut self, t_secs: u64, value: f64) {
-        let bucket = t_secs / self.period_secs;
-        let idx = (bucket % self.slots.len() as u64) as usize;
-        let slot = &mut self.slots[idx];
-        if slot.stamp != bucket + 1 {
-            *slot = Slot {
-                stamp: bucket + 1,
-                count: 0,
-                sum: 0.0,
-                min: value,
-                max: value,
-                last: value,
-            };
-        }
-        slot.count += 1;
-        slot.sum += value;
-        slot.min = slot.min.min(value);
-        slot.max = slot.max.max(value);
-        slot.last = value;
-    }
-
-    /// Buckets still inside the retention window at time `now_secs`,
-    /// oldest first. Empty buckets are absent, not zero.
-    fn points(&self, now_secs: u64) -> Vec<Point> {
-        let bucket_now = now_secs / self.period_secs;
-        let window = self.slots.len() as u64;
-        let oldest = (bucket_now + 1).saturating_sub(window);
-        let mut out: Vec<Point> = self
-            .slots
-            .iter()
-            .filter(|s| s.stamp > oldest && s.stamp <= bucket_now + 1)
-            .map(|s| Point {
-                t_secs: (s.stamp - 1) * self.period_secs,
-                count: s.count,
-                sum: s.sum,
-                min: s.min,
-                max: s.max,
-                last: s.last,
-            })
-            .collect();
-        out.sort_by_key(|p| p.t_secs);
-        out
-    }
-}
-
-struct Series {
-    rings: Vec<Ring>,
-}
-
 struct Inner {
-    /// BTreeMap so the series listing is sorted and stable.
-    series: BTreeMap<String, Series>,
+    /// BTreeMap so the series listing is sorted and stable; one ring
+    /// per tier, in the order of [`Tsdb::resolutions`].
+    series: BTreeMap<String, Vec<StampedRing<Bucket>>>,
     series_dropped: u64,
 }
 
@@ -217,14 +158,25 @@ impl Tsdb {
                 inner.series_dropped += 1;
                 return;
             }
-            let series = Series {
-                rings: self.resolutions.iter().map(|r| Ring::new(*r)).collect(),
-            };
+            let series = self
+                .resolutions
+                .iter()
+                .map(|r| StampedRing::new(r.slots))
+                .collect();
             inner.series.insert(name.to_owned(), series);
         }
         let series = inner.series.get_mut(name).expect("just inserted");
-        for ring in &mut series.rings {
-            ring.record(t_secs, value);
+        for (res, ring) in self.resolutions.iter().zip(series) {
+            if let Some(b) = ring.slot_mut(t_secs / res.period_secs) {
+                if b.count == 0 {
+                    (b.min, b.max) = (value, value);
+                }
+                b.count += 1;
+                b.sum += value;
+                b.min = b.min.min(value);
+                b.max = b.max.max(value);
+                b.last = value;
+            }
         }
     }
 
@@ -275,10 +227,46 @@ impl Tsdb {
     /// as of `now_secs`. `None` when the metric or tier is unknown.
     #[must_use]
     pub fn query_at(&self, metric: &str, res_secs: u64, now_secs: u64) -> Option<Vec<Point>> {
+        let tier = self
+            .resolutions
+            .iter()
+            .position(|r| r.period_secs == res_secs)?;
         let inner = self.inner.lock().expect("tsdb poisoned");
-        let series = inner.series.get(metric)?;
-        let ring = series.rings.iter().find(|r| r.period_secs == res_secs)?;
-        Some(ring.points(now_secs))
+        let ring = &inner.series.get(metric)?[tier];
+        // Buckets still inside the retention window, oldest first.
+        // Empty buckets are absent, not zero.
+        let points = ring.live(now_secs / res_secs).map(|(bucket, b)| Point {
+            t_secs: bucket * res_secs,
+            count: b.count,
+            sum: b.sum,
+            min: b.min,
+            max: b.max,
+            last: b.last,
+        });
+        Some(points.collect())
+    }
+
+    /// Count and sum of `metric`'s samples over the trailing
+    /// `window_secs`: the buckets of the first tier whose span
+    /// (`period × slots`) covers the window, or of the last tier when
+    /// none does, that start in `(now_secs − window_secs, now_secs]`.
+    /// With tiers listed finest first, as the defaults are, that is the
+    /// finest tier that covers the window.
+    pub(crate) fn window_sum(&self, metric: &str, window_secs: u64, now_secs: u64) -> (u64, f64) {
+        let covers = |r: &Resolution| r.period_secs.saturating_mul(r.slots as u64) >= window_secs;
+        let tiers = &self.resolutions;
+        let tier = tiers.iter().position(covers).unwrap_or(tiers.len() - 1);
+        let inner = self.inner.lock().expect("tsdb poisoned");
+        let Some(series) = inner.series.get(metric) else {
+            return (0, 0.0);
+        };
+        let period = tiers[tier].period_secs;
+        series[tier]
+            .live(now_secs / period)
+            .filter(|(bucket, _)| (bucket * period).saturating_add(window_secs) > now_secs)
+            .fold((0, 0.0), |(count, sum), (_, b)| {
+                (count + b.count, sum + b.sum)
+            })
     }
 
     /// [`query_at`](Self::query_at) against the store's own clock.

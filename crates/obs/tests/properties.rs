@@ -12,10 +12,11 @@
 //! iff both windows exceed the threshold, clear with hysteresis.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Duration;
 
 use ntr_obs::metrics::{Histogram, WindowedHistogram, HISTOGRAM_BUCKETS};
-use ntr_obs::slo::{BurnRule, SloEngine, SloKind, SloSpec};
+use ntr_obs::slo::{SloEngine, SloKind, SloSpec, CLEAR_BURN, FIRE_BURN};
 use ntr_obs::tsdb::{Resolution, Tsdb};
 use proptest::prelude::*;
 
@@ -331,8 +332,7 @@ proptest! {
             fast_secs,
             slow_secs,
         };
-        let rule = BurnRule::default();
-        let engine = SloEngine::new(vec![spec], rule);
+        let engine = SloEngine::new(vec![spec], Arc::default());
 
         let mut history: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
         let mut model_firing = false;
@@ -364,10 +364,10 @@ proptest! {
                 }
             };
             let (fast_burn, slow_burn) = (burn_over(fast_secs), burn_over(slow_secs));
-            if !model_firing && fast_burn >= rule.fire && slow_burn >= rule.fire {
+            if !model_firing && fast_burn >= FIRE_BURN && slow_burn >= FIRE_BURN {
                 model_firing = true;
                 model_fired += 1;
-            } else if model_firing && fast_burn < rule.clear && slow_burn < rule.clear {
+            } else if model_firing && fast_burn < CLEAR_BURN && slow_burn < CLEAR_BURN {
                 model_firing = false;
                 model_cleared += 1;
             }

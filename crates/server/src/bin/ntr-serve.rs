@@ -101,7 +101,9 @@ fn main() -> ExitCode {
 
     // SLOs: --slo flags replace the defaults; otherwise NTR_SLOS does
     // (an empty NTR_SLOS disables SLOs entirely); otherwise the
-    // built-in defaults stand.
+    // built-in defaults stand. Two SLOs whose names slug alike are
+    // refused on either path: they would share one gauge and one TSDB
+    // series.
     if !slo_flags.is_empty() {
         config.slos.clear();
         for spec in &slo_flags {
@@ -112,6 +114,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
+        }
+        if let Err(reason) = ntr_obs::slo::check_unique_slugs(&config.slos) {
+            log_error!("bad --slo: {reason}");
+            return ExitCode::FAILURE;
         }
     } else if let Ok(list) = std::env::var("NTR_SLOS") {
         match ntr_obs::slo::SloSpec::parse_list(&list) {

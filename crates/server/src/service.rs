@@ -31,7 +31,7 @@ use ntr_core::{
     OracleStats, RetryPolicy, RoutingOutcome, RoutingSession,
 };
 use ntr_obs::journal::{self, WideEvent};
-use ntr_obs::slo::{BurnRule, SloEngine, SloSpec};
+use ntr_obs::slo::{SloEngine, SloSpec};
 use ntr_obs::tsdb::Tsdb;
 use ntr_obs::{log_debug, log_warn, span, Journal};
 
@@ -223,7 +223,7 @@ impl Service {
         let stats = Arc::new(ServiceStats::default());
         let resilience = Arc::new(Resilience::with_faults(config.faults.clone()));
         let tsdb = Arc::new(Tsdb::default());
-        let slo = Arc::new(SloEngine::new(config.slos.clone(), BurnRule::default()));
+        let slo = Arc::new(SloEngine::new(config.slos.clone(), Arc::clone(&tsdb)));
         slo.register_metrics(stats.registry());
         let handles = (0..workers)
             .map(|i| {

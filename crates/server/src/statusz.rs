@@ -16,8 +16,10 @@
 //!   the flight recorder's request ring — the last few thousand wide
 //!   events, whatever wall-clock span they cover.
 //!
-//! Plus the degradation gate's live inputs: the per-fidelity EWMA cost
-//! estimates the engine consults before descending the ladder.
+//! Plus the degradation gate's live inputs (the per-fidelity EWMA cost
+//! estimates the engine consults before descending the ladder), TSDB
+//! sparklines, and the SLO alerts, whose burn rates and good/total
+//! counts are sums over the TSDB's `ntr_slo_good_<slug>` series.
 //!
 //! The page is self-contained HTML with no scripts or external assets —
 //! `curl`-able, and renderable in a browser pointed at the metrics port.

@@ -583,6 +583,16 @@ fn http_surfaces_and_the_drain_dump_pass_the_library_checkers() {
     check_exposition(&http_ok(addr, "/metrics")).unwrap();
     let listing = http_ok(addr, "/tsdb");
     assert!(tsdb::check_query_json(&listing).unwrap() >= 1, "{listing}");
+    // Each default SLO records its outcomes into a series of its own.
+    for series in [
+        "ntr_slo_good_latency_99_50ms",
+        "ntr_slo_good_availability_99_9",
+    ] {
+        assert!(
+            listing.contains(&format!("\"{series}\"")),
+            "{series}: {listing}"
+        );
+    }
     assert!(slo::check_alerts_json(&http_ok(addr, "/alertz")).unwrap() >= 1);
     profile::check_folded(&http_ok(addr, "/profilez")).unwrap();
 
@@ -600,6 +610,45 @@ fn http_surfaces_and_the_drain_dump_pass_the_library_checkers() {
     serve.shutdown();
 
     check_journal(&std::fs::read_to_string(&dump).expect("journal dumped at drain"));
+}
+
+/// Startup refuses SLOs that would share a gauge and a TSDB series, and
+/// windows past the TSDB's retention, with a logged reason and exit 1.
+#[test]
+fn conflicting_or_overlong_slos_are_refused_at_startup() {
+    let refused = |args: &[&str], slos: Option<&str>, reason: &str| {
+        let mut command = Command::new(env!("CARGO_BIN_EXE_ntr-serve"));
+        command
+            .arg("--stdio")
+            .args(args)
+            .env_remove("NTR_FAULTS")
+            .env_remove("NTR_SLOS")
+            .stdin(Stdio::null());
+        if let Some(slos) = slos {
+            command.env("NTR_SLOS", slos);
+        }
+        let out = command.output().expect("ntr-serve runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} {slos:?}: {stderr}");
+        assert!(stderr.contains(reason), "{args:?} {slos:?}: {stderr}");
+    };
+    let slug = "repeats the metric slug \"a_b\"";
+    refused(
+        &[
+            "--slo",
+            "a-b=availability:99:1h",
+            "--slo",
+            "a.b=latency:99:5ms:1h",
+        ],
+        None,
+        slug,
+    );
+    refused(
+        &[],
+        Some("a-b=availability:99:1h;a.b=latency:99:5ms:1h"),
+        slug,
+    );
+    refused(&["--slo", "availability:99:7h"], None, "TSDB retention");
 }
 
 /// A journal dump opens with its summary line and holds request events.

@@ -1,4 +1,4 @@
-//! Lane-chunked numeric kernels for the triangular solves and the
+//! The lane-chunked scatter kernel behind the triangular solves and the
 //! left-looking update loops.
 //!
 //! The inner loop of every sparse solve in this crate is a *scatter
@@ -7,20 +7,13 @@
 //! distinct, so the four updates of a lane chunk touch four different
 //! memory cells and can be computed in any order — reordering them is
 //! **bit-exact** (each `y[r]` still receives exactly the same single
-//! `y[r] - v*xj` rounding). That is the property that lets these kernels
-//! claim bit-for-bit equality with the naive loops they replace.
+//! `y[r] - v*xj` rounding). That is the property that lets the kernel
+//! claim bit-for-bit equality with the naive loop it replaces.
 //!
-//! Two implementations are provided:
-//!
-//! - a portable 4-wide lane-chunked form (`chunks_exact(4)`), written so
-//!   LLVM can keep the four independent FLOPs in flight, and
-//! - an `x86_64` AVX path behind runtime feature detection for the
-//!   *contiguous* kernels (dense panel updates in the blocked solver),
-//!   using `mul`/`sub` — never FMA — so lane results round identically
-//!   to the scalar code.
-//!
-//! Scatter targets cannot be vector-stored on the baseline x86-64 feature
-//! set, so the scatter kernels stay in the portable form everywhere.
+//! The kernel is a portable 4-wide lane-chunked form (`chunks_exact(4)`),
+//! written so LLVM can keep the four independent FLOPs in flight. Scatter
+//! targets cannot be vector-stored on the baseline x86-64 feature set, so
+//! there is no architecture-specific path.
 
 /// `y[rows[i]] -= vals[i] * xj` for every stored entry of a column.
 ///
@@ -55,66 +48,6 @@ pub(crate) fn scatter_fnma(y: &mut [f64], rows: &[usize], vals: &[f64], xj: f64)
     }
 }
 
-/// Contiguous `y[i] -= vals[i] * xj` over equal-length slices.
-///
-/// Used by the blocked solver on gathered (dense) supernode panels; lane
-/// results are bit-exact with the scalar loop because `mul`+`sub` round
-/// per lane exactly as the scalar expression does.
-#[inline]
-pub(crate) fn axpy_neg(y: &mut [f64], vals: &[f64], xj: f64) {
-    debug_assert_eq!(y.len(), vals.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if y.len() >= 8 && std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: AVX support was just verified at runtime.
-            unsafe { axpy_neg_avx(y, vals, xj) };
-            return;
-        }
-    }
-    axpy_neg_portable(y, vals, xj);
-}
-
-#[inline]
-fn axpy_neg_portable(y: &mut [f64], vals: &[f64], xj: f64) {
-    let mut y4 = y.chunks_exact_mut(4);
-    let mut v4 = vals.chunks_exact(4);
-    for (yc, vc) in (&mut y4).zip(&mut v4) {
-        yc[0] -= vc[0] * xj;
-        yc[1] -= vc[1] * xj;
-        yc[2] -= vc[2] * xj;
-        yc[3] -= vc[3] * xj;
-    }
-    for (yi, &vi) in y4.into_remainder().iter_mut().zip(v4.remainder()) {
-        *yi -= vi * xj;
-    }
-}
-
-/// AVX form of [`axpy_neg`]: 4 lanes of `y - v*x` per iteration, no FMA,
-/// so every lane rounds exactly like the scalar expression.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn axpy_neg_avx(y: &mut [f64], vals: &[f64], xj: f64) {
-    use std::arch::x86_64::{
-        _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_sub_pd,
-    };
-    let n = y.len();
-    let xv = _mm256_set1_pd(xj);
-    let mut i = 0;
-    while i + 4 <= n {
-        let yv = _mm256_loadu_pd(y.as_ptr().add(i));
-        let vv = _mm256_loadu_pd(vals.as_ptr().add(i));
-        _mm256_storeu_pd(
-            y.as_mut_ptr().add(i),
-            _mm256_sub_pd(yv, _mm256_mul_pd(vv, xv)),
-        );
-        i += 4;
-    }
-    while i < n {
-        *y.get_unchecked_mut(i) -= vals.get_unchecked(i) * xj;
-        i += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,20 +74,6 @@ mod tests {
             let mut y2 = y1.clone();
             scatter_fnma(&mut y1, &rows, &vals, 0.73);
             naive_scatter(&mut y2, &rows, &vals, 0.73);
-            assert!(y1.iter().zip(&y2).all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
-    }
-
-    #[test]
-    fn axpy_is_bit_exact_vs_scalar() {
-        for n in [0usize, 1, 4, 7, 8, 9, 31, 64, 129] {
-            let vals: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
-            let mut y1: Vec<f64> = (0..n).map(|i| (i as f64).sqrt() - 2.0).collect();
-            let mut y2 = y1.clone();
-            axpy_neg(&mut y1, &vals, -1.37);
-            for (yi, &vi) in y2.iter_mut().zip(&vals) {
-                *yi -= vi * -1.37;
-            }
             assert!(y1.iter().zip(&y2).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }

@@ -37,7 +37,6 @@
 //! # }
 //! ```
 
-mod blocked;
 mod csc;
 mod csr;
 mod dense;
@@ -50,7 +49,6 @@ mod refine;
 mod triplet;
 mod workspace;
 
-pub use blocked::BlockedLu;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::{DenseLu, DenseMatrix};
